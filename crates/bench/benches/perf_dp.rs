@@ -1,24 +1,20 @@
 //! P1 — performance of the exact game solver.
 //!
-//! Covers the resolution ablation (`Q ∈ {4, 16, 64}`), the three dense
-//! inner loops (frontier sweep vs bisection vs linear scan), the
-//! breakpoint-compressed solver (tick-walking and event-driven), cached
-//! sweeps, the policy evaluators and query paths — and emits the
-//! headline numbers to `BENCH_dp.json` at the workspace root. Four
-//! acceptance points: at `(Q=32, p=16, L=10⁶ ticks)` the frontier sweep
-//! must beat bisection ≥ 3×, the intra-level parallel solve must beat
-//! the sequential sweep ≥ 1.5× at 4+ workers, and the compressed table
-//! must hold the same function in ≤ 1/10 the bytes; at
-//! `(Q=32, p=16, L=10⁹ ticks)` the event-driven build must finish in
-//! under a second and the run-backed (second-order) build must store
-//! ≤ 0.2× the flat list's breakpoint descriptors
-//! (`run_compressed_breakpoints` vs `event_driven_breakpoints`).
+//! Covers the resolution ablation (`Q ∈ {4, 16, 64}`) of the dense
+//! frontier sweep, the production build (event-driven, run-compressed),
+//! cached sweeps, the policy evaluators and query paths — and emits the
+//! headline numbers to `BENCH_dp.json` at the workspace root. Acceptance
+//! points: at `(Q=32, p=16, L=10⁶ ticks)` the compressed table must hold
+//! the same function as the dense arena in ≤ 1/10 the bytes; at
+//! `(Q=32, p=16, L=10⁹ ticks)` the event-driven build loop must finish
+//! in about a second and the stored run descriptors must number ≤ 0.2×
+//! the breakpoints they encode (`run_compressed_breakpoints` vs
+//! `event_driven_breakpoints`).
 //!
 //! Quick mode (`CRITERION_QUICK=1` or `--quick`) is the CI smoke
 //! configuration: single-run measurements (`runs_per_measurement: 1`,
-//! stamped `"quick_mode": true`) and the 10⁶-tick *dense comparison*
-//! measurements — the bisection baseline and the dense-vs-compressed
-//! memory rebuild — are skipped so the job finishes in seconds; their
+//! stamped `"quick_mode": true`) and the 10⁶-tick dense-vs-compressed
+//! memory comparison is skipped so the job finishes in seconds; its
 //! JSON fields are simply absent (`bench_diff` skips fields missing on
 //! either side).
 //!
@@ -31,7 +27,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cyclesteal_core::prelude::*;
 use cyclesteal_dp::{
     evaluate_policy, evaluate_policy_compressed, CompressedEvalOptions, CompressedTable,
-    EvalOptions, InnerLoop, RowRepr, SolveConfig, SolveOptions, TableCache, ValueTable,
+    EvalOptions, Phase, PhaseRecorder, SolveConfig, SolveOptions, TableCache, ValueTable,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -49,20 +45,10 @@ fn accept_lifespan() -> Time {
     secs(ACCEPT_TICKS as f64 / ACCEPT_Q as f64)
 }
 
-fn value_only(inner: InnerLoop) -> SolveOptions {
+fn value_only() -> SolveOptions {
     SolveOptions {
         keep_policy: false,
-        inner,
         ..SolveOptions::default()
-    }
-}
-
-/// The intra-level parallel configuration: `threads` workers sweep
-/// anchor-segmented l-ranges of each level (bit-identical output).
-fn value_only_parallel(threads: usize) -> SolveOptions {
-    SolveOptions {
-        threads,
-        ..value_only(InnerLoop::FrontierSweep)
     }
 }
 
@@ -72,48 +58,9 @@ fn bench_solve_resolution(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(3));
     for q in [4u32, 16, 64] {
         group.bench_with_input(BenchmarkId::from_parameter(q), &q, |b, &q| {
-            b.iter(|| {
-                ValueTable::solve(
-                    secs(1.0),
-                    q,
-                    secs(512.0),
-                    black_box(3),
-                    value_only(InnerLoop::FrontierSweep),
-                )
-            })
+            b.iter(|| ValueTable::solve(secs(1.0), q, secs(512.0), black_box(3), value_only()))
         });
     }
-    group.finish();
-}
-
-fn bench_inner_loop(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dp_inner_loop");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    for (name, inner) in [
-        ("frontier_sweep", InnerLoop::FrontierSweep),
-        ("bisection", InnerLoop::Bisection),
-        ("linear_scan", InnerLoop::LinearScan),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                ValueTable::solve(secs(1.0), 16, secs(256.0), black_box(3), value_only(inner))
-            })
-        });
-    }
-    // The segmented intra-level sweep at an explicit 4 workers — the
-    // ablation point the acceptance report measures at p=16.
-    group.bench_function("parallel_sweep_t4", |b| {
-        b.iter(|| {
-            ValueTable::solve(
-                secs(1.0),
-                16,
-                secs(256.0),
-                black_box(3),
-                value_only_parallel(4),
-            )
-        })
-    });
     group.finish();
 }
 
@@ -124,45 +71,10 @@ fn bench_compressed_solve(c: &mut Criterion) {
     group.bench_function("q16_u512_p3", |b| {
         b.iter(|| CompressedTable::solve(secs(1.0), 16, secs(512.0), black_box(3)))
     });
-    group.bench_function("event_q16_u512_p3", |b| {
-        b.iter(|| {
-            CompressedTable::solve_with(
-                secs(1.0),
-                16,
-                secs(512.0),
-                black_box(3),
-                value_only(InnerLoop::EventDriven),
-            )
-        })
-    });
     // The run-skipping regime only shows at depth: 10⁷ ticks, where the
-    // tick walk pays 10⁷ steps per level and the event build ~k.
-    group.bench_function("event_q16_u625000_p3", |b| {
-        b.iter(|| {
-            CompressedTable::solve_with(
-                secs(1.0),
-                16,
-                secs(625_000.0),
-                black_box(3),
-                value_only(InnerLoop::EventDriven),
-            )
-        })
-    });
-    // Same deep build, stored second-order (arithmetic runs): measures
-    // the compression pass the run-backed representation adds.
-    group.bench_function("event_runs_q16_u625000_p3", |b| {
-        b.iter(|| {
-            CompressedTable::solve_with(
-                secs(1.0),
-                16,
-                secs(625_000.0),
-                black_box(3),
-                SolveOptions {
-                    repr: RowRepr::Runs,
-                    ..value_only(InnerLoop::EventDriven)
-                },
-            )
-        })
+    // dense sweep pays 10⁷ steps per level and the event build ~k.
+    group.bench_function("q16_u625000_p3", |b| {
+        b.iter(|| CompressedTable::solve(secs(1.0), 16, secs(625_000.0), black_box(3)))
     });
     group.finish();
 }
@@ -206,7 +118,7 @@ fn bench_cached_sweep(c: &mut Criterion) {
         .collect();
     group.bench_function("solve_many_24cfg_3keys", |b| {
         b.iter(|| {
-            let cache = TableCache::with_options(value_only(InnerLoop::FrontierSweep));
+            let cache = TableCache::with_options(value_only());
             cache.solve_many(black_box(&configs))
         })
     });
@@ -266,18 +178,20 @@ fn bench_queries(c: &mut Criterion) {
 fn time_median<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     black_box(f());
     let mut last = None;
-    let mut times: Vec<f64> = (0..runs)
+    let times: Vec<f64> = (0..runs)
         .map(|_| {
             let start = Instant::now();
             last = Some(black_box(f()));
             start.elapsed().as_secs_f64()
         })
         .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    (
-        times[times.len() / 2],
-        last.expect("runs >= 1 timed executions"),
-    )
+    (median(times), last.expect("runs >= 1 timed executions"))
+}
+
+/// Median of a nonempty sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    xs[xs.len() / 2]
 }
 
 /// The acceptance-criteria measurement, reported on stdout and written
@@ -286,11 +200,10 @@ fn time_median<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 /// skips the heavyweight p=16 solves (and the JSON rewrite).
 ///
 /// Quick mode stamps `"quick_mode": true` with `runs_per_measurement: 1`
-/// and skips the 10⁶-tick dense comparison — the bisection baseline and
-/// the dense-memory rebuild — whose fields are then absent from the
-/// JSON; the frontier-sweep, parallel, compressed and event-driven
-/// timings are always emitted, so `bench_diff` can gate on them in
-/// every mode.
+/// and skips the 10⁶-tick dense-vs-compressed memory comparison, whose
+/// fields are then absent from the JSON; the frontier-sweep and
+/// event-driven timings are always emitted, so `bench_diff` can gate on
+/// them in every mode.
 fn acceptance_report(c: &mut Criterion) {
     if !c.filter_matches("dp_acceptance_report") {
         return;
@@ -302,68 +215,38 @@ fn acceptance_report(c: &mut Criterion) {
     let deep_u = secs(ACCEPT_EVENT_TICKS as f64 / ACCEPT_Q as f64);
 
     let (sweep_s, _) = time_median(runs, || {
-        ValueTable::solve(
-            secs(1.0),
-            ACCEPT_Q,
-            u,
-            ACCEPT_P,
-            value_only(InnerLoop::FrontierSweep),
-        )
+        ValueTable::solve(secs(1.0), ACCEPT_Q, u, ACCEPT_P, value_only())
     });
-    // The intra-level parallel solve, at 4+ workers (the acceptance
-    // point asks for ≥ 1.5× over the sequential sweep). Bit-identical
-    // output; the speedup comes from the anchor-segmented fan-out plus
-    // the skeleton-first formulation of each level.
-    let parallel_threads = cyclesteal_par::default_threads().max(4);
-    let (parallel_s, _) = time_median(runs, || {
-        ValueTable::solve(
-            secs(1.0),
-            ACCEPT_Q,
-            u,
-            ACCEPT_P,
-            value_only_parallel(parallel_threads),
-        )
-    });
-    let parallel_speedup = sweep_s / parallel_s;
-    let (compressed_s, _) = time_median(runs, || {
-        CompressedTable::solve(secs(1.0), ACCEPT_Q, u, ACCEPT_P)
-    });
-    // The deep point: 1000× the dense lifespan, event-driven only; the
-    // last timed build doubles as the stats source.
-    let (event_s, deep) = time_median(runs, || {
-        CompressedTable::solve_with(
+    // The deep point: 1000× the dense lifespan, where only the
+    // event-driven build goes. One profiled build serves both timings:
+    // the whole solve (`run_compressed_solve_s`) and its event loops
+    // alone (`event_loop_solve_s`, without the per-level run
+    // compression). The last timed build doubles as the stats source.
+    let clock = cyclesteal_serve::WallClock::new();
+    let mut event_loop_samples = Vec::new();
+    let (run_s, deep) = time_median(runs, || {
+        let recorder = PhaseRecorder::new(&clock);
+        let table = CompressedTable::solve_profiled(
             secs(1.0),
             ACCEPT_Q,
             deep_u,
             ACCEPT_P,
-            value_only(InnerLoop::EventDriven),
-        )
+            value_only(),
+            &recorder,
+        );
+        event_loop_samples.push(recorder.timings().ns(Phase::EventLoop) as f64 * 1e-9);
+        table
     });
+    // Skip the untimed warm-up build time_median runs first.
+    let event_loop_s = median(event_loop_samples.split_off(1));
     let event_count = deep.events();
     let deep_breakpoints: usize = (0..=ACCEPT_P).map(|p| deep.breakpoints(p)).sum();
-    let deep_flat_bytes = deep.memory_bytes();
-    // Same deep build, run-backed: second-order compression at the
-    // acceptance point. The build loop is identical (same events), only
-    // the stored representation changes — the acceptance criterion is
-    // run_compressed_breakpoints ≤ 0.2× event_driven_breakpoints.
-    let (run_s, deep_runs) = time_median(runs, || {
-        CompressedTable::solve_with(
-            secs(1.0),
-            ACCEPT_Q,
-            deep_u,
-            ACCEPT_P,
-            SolveOptions {
-                repr: RowRepr::Runs,
-                ..value_only(InnerLoop::EventDriven)
-            },
-        )
-    });
-    let run_breakpoints: usize = (0..=ACCEPT_P)
-        .map(|p| deep_runs.stored_breakpoints(p))
-        .sum();
-    let run_bytes = deep_runs.memory_bytes();
+    // Second-order compression at the acceptance point: stored run
+    // descriptors against the breakpoints they encode (target ≤ 0.2×).
+    let run_breakpoints: usize = (0..=ACCEPT_P).map(|p| deep.stored_breakpoints(p)).sum();
+    let run_bytes = deep.memory_bytes();
     let run_k_ratio = run_breakpoints as f64 / deep_breakpoints as f64;
-    let run_mem_ratio = run_bytes as f64 / deep_flat_bytes as f64;
+    let run_bytes_per_breakpoint = run_bytes as f64 / deep_breakpoints as f64;
 
     // Warm start: snapshot the run-backed deep table once, then time a
     // fresh cache warming from disk *and serving its first query* — the
@@ -375,7 +258,7 @@ fn acceptance_report(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&snap_dir);
     {
         let cache = TableCache::new();
-        cache.admit_compressed(std::sync::Arc::new(deep_runs.clone()));
+        cache.admit_compressed(std::sync::Arc::new(deep));
         cache
             .snapshot_to_dir(&snap_dir)
             .expect("write warm-start snapshot");
@@ -526,15 +409,11 @@ fn acceptance_report(c: &mut Criterion) {
         use now_sim::{BatchAdversary, BatchConfig, BatchSim};
         let sim_l_ticks = 4_096i64;
         let sim_p = 3u32;
-        let sim_table = std::sync::Arc::new(CompressedTable::solve_with(
+        let sim_table = std::sync::Arc::new(CompressedTable::solve(
             secs(1.0),
             ACCEPT_Q,
             secs(sim_l_ticks as f64 / ACCEPT_Q as f64),
             sim_p,
-            SolveOptions {
-                repr: RowRepr::Runs,
-                ..value_only(InnerLoop::EventDriven)
-            },
         ));
         let episodes = 1_000_000usize;
         let mk = |threads: usize| {
@@ -572,14 +451,10 @@ fn acceptance_report(c: &mut Criterion) {
     println!("\n=== perf_dp acceptance (Q={ACCEPT_Q}, p={ACCEPT_P}, L={ACCEPT_TICKS} ticks) ===");
     println!("frontier sweep solve : {sweep_s:.3} s");
     println!(
-        "parallel solve       : {parallel_s:.3} s at {parallel_threads} threads ({parallel_speedup:.2}× vs sequential sweep, target ≥ 1.5×)"
-    );
-    println!("compressed solve     : {compressed_s:.3} s");
-    println!(
-        "event-driven solve   : {event_s:.3} s at L={ACCEPT_EVENT_TICKS} ticks ({event_count} events, {deep_breakpoints} breakpoints; target < 1 s)"
+        "event-driven loop    : {event_loop_s:.3} s at L={ACCEPT_EVENT_TICKS} ticks ({event_count} events, {deep_breakpoints} breakpoints)"
     );
     println!(
-        "run-compressed solve : {run_s:.3} s — {run_breakpoints} stored descriptors ({run_k_ratio:.4}× of flat, target ≤ 0.2×), {run_bytes} B ({run_mem_ratio:.3}× of flat)"
+        "run-compressed solve : {run_s:.3} s — {run_breakpoints} stored descriptors ({run_k_ratio:.4}× of breakpoints, target ≤ 0.2×), {run_bytes} B ({run_bytes_per_breakpoint:.2} B per breakpoint)"
     );
     println!(
         "warm start           : {warm_s:.3} s snapshot-load + first query ({warm_speedup:.1}× vs cold run-compressed solve, target ≥ 10×)"
@@ -602,11 +477,7 @@ fn acceptance_report(c: &mut Criterion) {
         format!("\"quick_mode\": {quick}"),
         format!("\"runs_per_measurement\": {runs}"),
         format!("\"frontier_sweep_solve_s\": {sweep_s:.6}"),
-        format!("\"parallel_solve_s\": {parallel_s:.6}"),
-        format!("\"parallel_speedup\": {parallel_speedup:.3}"),
-        format!("\"parallel_threads\": {parallel_threads}"),
-        format!("\"compressed_solve_s\": {compressed_s:.6}"),
-        format!("\"event_driven_solve_s\": {event_s:.6}"),
+        format!("\"event_loop_solve_s\": {event_loop_s:.6}"),
         format!("\"event_driven_lifespan_ticks\": {ACCEPT_EVENT_TICKS}"),
         format!("\"event_count\": {event_count}"),
         format!("\"event_driven_breakpoints\": {deep_breakpoints}"),
@@ -626,34 +497,19 @@ fn acceptance_report(c: &mut Criterion) {
     ];
 
     if quick {
-        println!("quick mode: skipping the 10⁶-tick dense comparison (bisection + memory rebuild)");
+        println!("quick mode: skipping the 10⁶-tick dense-vs-compressed memory comparison");
     } else {
-        let (bisect_s, _) = time_median(runs, || {
-            ValueTable::solve(
-                secs(1.0),
-                ACCEPT_Q,
-                u,
-                ACCEPT_P,
-                value_only(InnerLoop::Bisection),
-            )
-        });
         let dense = ValueTable::solve(secs(1.0), ACCEPT_Q, u, ACCEPT_P, SolveOptions::default());
         let compressed = CompressedTable::solve(secs(1.0), ACCEPT_Q, u, ACCEPT_P);
         let dense_bytes = dense.memory_bytes();
         let compressed_bytes = compressed.memory_bytes();
         let breakpoints: usize = (0..=ACCEPT_P).map(|p| compressed.breakpoints(p)).sum();
-        let speedup = bisect_s / sweep_s;
         let mem_ratio = dense_bytes as f64 / compressed_bytes as f64;
-        println!(
-            "bisection solve      : {bisect_s:.3} s   (sweep speedup {speedup:.2}×, target ≥ 3×)"
-        );
         println!("dense memory         : {dense_bytes} B (values + argmax)");
         println!(
             "compressed memory    : {compressed_bytes} B across {breakpoints} breakpoints ({mem_ratio:.1}× smaller, target ≥ 10×)"
         );
         fields.extend([
-            format!("\"bisection_solve_s\": {bisect_s:.6}"),
-            format!("\"sweep_vs_bisection_speedup\": {speedup:.3}"),
             format!("\"dense_memory_bytes\": {dense_bytes}"),
             format!("\"compressed_memory_bytes\": {compressed_bytes}"),
             format!("\"compressed_breakpoints\": {breakpoints}"),
@@ -673,7 +529,6 @@ fn acceptance_report(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_solve_resolution,
-    bench_inner_loop,
     bench_compressed_solve,
     bench_compressed_eval,
     bench_cached_sweep,

@@ -11,9 +11,8 @@
 //!     baseline/BENCH_dp.json BENCH_dp.json --threshold 0.10
 //! ```
 //!
-//! Gated keys: the wall-clock solve timings `frontier_sweep_solve_s`,
-//! `parallel_solve_s`, `compressed_solve_s`, `event_driven_solve_s` and
-//! the serving layer's `warm_start_s` and batch tail latency
+//! Gated keys: the wall-clock solve timings `frontier_sweep_solve_s` and
+//! `run_compressed_solve_s` and the serving layer's `warm_start_s` and batch tail latency
 //! `serve_p99_us` (lower is better; shared CI runners make these noisy,
 //! so treat a timing failure as a prompt to re-run before believing
 //! it), the broker throughput `serve_qps` and the batch simulator's
@@ -54,17 +53,17 @@ use std::process::ExitCode;
 /// deterministic counters of the event-driven build and its run-backed
 /// storage; `warm_start_s` is the snapshot-load + first-query restart
 /// path of the serving layer and `serve_p99_us` the broker's batch
-/// tail latency under the throughput load. `parallel_solve_s` is the
-/// intra-level
-/// segmented solve at 4+ workers (its companion `parallel_speedup` is a
+/// tail latency under the throughput load (`warm_start_speedup` is a
 /// higher-is-better ratio and deliberately not gated — the timing
-/// already is, and `warm_start_speedup` is ungated for the same
-/// reason).
-const GATED_KEYS_LOWER: [&str; 9] = [
+/// already is). Snapshots from before the tick-walking and parallel
+/// dense builds were deleted also carry `parallel_solve_s`,
+/// `compressed_solve_s` and `event_driven_solve_s` (the flat-list event
+/// build); those keys are no longer read. The event loops of the
+/// production build are reported as `event_loop_solve_s`, ungated: the
+/// whole build they are part of is `run_compressed_solve_s`.
+const GATED_KEYS_LOWER: [&str; 7] = [
     "frontier_sweep_solve_s",
-    "parallel_solve_s",
-    "compressed_solve_s",
-    "event_driven_solve_s",
+    "run_compressed_solve_s",
     "event_count",
     "run_compressed_breakpoints",
     "run_memory_bytes",
@@ -563,17 +562,17 @@ mod tests {
 
     #[test]
     fn quick_mode_omissions_and_corrupt_baselines_are_skipped() {
-        let baseline = snapshot(&[("compressed_solve_s", 0.0), ("event_driven_solve_s", 0.7)]);
-        let fresh = snapshot(&[("compressed_solve_s", 0.2)]);
+        let baseline = snapshot(&[("warm_start_s", 0.0), ("run_compressed_solve_s", 0.7)]);
+        let fresh = snapshot(&[("warm_start_s", 0.2)]);
         let results = compare(&baseline, &fresh, 0.10);
         assert_eq!(
-            verdict_for(&results, "compressed_solve_s"),
+            verdict_for(&results, "warm_start_s"),
             &Verdict::Skipped {
                 why: "non-positive baseline"
             }
         );
         assert_eq!(
-            verdict_for(&results, "event_driven_solve_s"),
+            verdict_for(&results, "run_compressed_solve_s"),
             &Verdict::Skipped {
                 why: "absent in fresh snapshot"
             }
@@ -585,6 +584,39 @@ mod tests {
             }
         );
         assert!(!has_regression(&results));
+    }
+
+    #[test]
+    fn retired_solve_timings_are_not_gated() {
+        // A baseline from before the tick-walking, parallel dense and
+        // flat-list event builds were deleted carries their timings; a
+        // fresh snapshot does not, and reports the production build's
+        // event loops under a new, ungated key. Neither side of that is
+        // a verdict any more.
+        let baseline = snapshot(&[
+            ("frontier_sweep_solve_s", 0.12),
+            ("parallel_solve_s", 0.07),
+            ("compressed_solve_s", 0.24),
+            ("event_driven_solve_s", 0.88),
+        ]);
+        let fresh = snapshot(&[
+            ("frontier_sweep_solve_s", 0.12),
+            ("event_loop_solve_s", 1.34),
+        ]);
+        let results = compare(&baseline, &fresh, 0.10);
+        assert!(!has_regression(&results));
+        for key in [
+            "parallel_solve_s",
+            "compressed_solve_s",
+            "event_driven_solve_s",
+            "event_loop_solve_s",
+        ] {
+            assert!(results.iter().all(|d| d.key != key), "{key} is still gated");
+        }
+        assert!(matches!(
+            verdict_for(&results, "frontier_sweep_solve_s"),
+            Verdict::Ok { .. }
+        ));
     }
 
     #[test]

@@ -11,9 +11,6 @@ fn main() {
     println!("predicted beta: {:?}", &beta[1..]);
     let opts = SolveOptions {
         keep_policy: false,
-        // Deep single solve: let the intra-level segmented sweep use the
-        // machine's workers (CYCLESTEAL_THREADS still overrides).
-        threads: 0,
         ..SolveOptions::default()
     };
     let table = ValueTable::solve(secs(1.0), 8, secs(131072.0), 4, opts);

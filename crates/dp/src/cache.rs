@@ -9,14 +9,11 @@
 //! request from a larger-`p` table when one already covers the
 //! lifespan), grows tables with headroom so a slowly increasing sweep
 //! does not re-solve per step, and fans independent configurations out
-//! over `cyclesteal-par` workers in [`TableCache::solve_many`] — with
-//! any thread budget the fan-out leaves idle flowing into each solve's
-//! *intra-level* segmented sweep (see [`SolveOptions::threads`]).
+//! over `cyclesteal-par` workers in [`TableCache::solve_many`].
 //!
 //! Compressed tables cache alongside dense ones:
 //! [`TableCache::get_compressed`] serves skeleton tables built
-//! event-driven and stored **run-backed**
-//! ([`RowRepr::Runs`](crate::RowRepr)) — second-order compression makes
+//! event-driven and stored **run-backed** — second-order compression makes
 //! `10^9`-tick lifespans cheap to build *and* cheap to keep resident —
 //! under the same key/headroom/coalescing rules, letting huge-horizon
 //! sweeps share one skeleton the way dense sweeps share one arena.
@@ -66,7 +63,7 @@
 
 use crate::compressed::CompressedTable;
 use crate::profile::{PhaseRecorder, PhaseTimings, ProfileSink};
-use crate::value::{InnerLoop, RowRepr, SolveOptions, ValueTable};
+use crate::value::{SolveOptions, ValueTable};
 use cyclesteal_core::time::Time;
 use cyclesteal_obs::Clock;
 use parking_lot::Mutex;
@@ -329,17 +326,10 @@ impl Default for TableCache {
 }
 
 impl TableCache {
-    /// A cache solving with [`SolveOptions::default`] — except
-    /// `threads: 0`, so cache-triggered solves use the machine's workers
-    /// (or the `CYCLESTEAL_THREADS` override) for their intra-level
-    /// sweeps — and 25% lifespan headroom. Results are bit-identical to
-    /// sequential solves at any worker count. Unbounded until
-    /// [`Self::set_memory_budget`].
+    /// A cache solving with [`SolveOptions::default`] and 25% lifespan
+    /// headroom. Unbounded until [`Self::set_memory_budget`].
     pub fn new() -> TableCache {
-        TableCache::with_options(SolveOptions {
-            threads: 0,
-            ..SolveOptions::default()
-        })
+        TableCache::with_options(SolveOptions::default())
     }
 
     /// A cache with explicit solve options (e.g. `keep_policy: false`
@@ -476,17 +466,10 @@ impl TableCache {
         ticks_per_setup: u32,
         max_lifespan: Time,
         max_interrupts: u32,
-        opts: SolveOptions,
     ) -> CompressedTable {
         let clock = self.profile_clock.lock().clone();
         match clock {
-            None => CompressedTable::solve_with(
-                setup,
-                ticks_per_setup,
-                max_lifespan,
-                max_interrupts,
-                opts,
-            ),
+            None => CompressedTable::solve(setup, ticks_per_setup, max_lifespan, max_interrupts),
             Some(clock) => {
                 let recorder = PhaseRecorder::new(&*clock);
                 let table = CompressedTable::solve_profiled(
@@ -494,7 +477,7 @@ impl TableCache {
                     ticks_per_setup,
                     max_lifespan,
                     max_interrupts,
-                    opts,
+                    self.opts,
                     &recorder,
                 );
                 self.offer_timings(recorder.timings());
@@ -541,10 +524,8 @@ impl TableCache {
 
     /// Solves all `configs` with one solve per distinct key (at the
     /// largest requested lifespan), fanned out over `cyclesteal-par`
-    /// workers — and, when the batch leaves workers idle (fewer pending
-    /// solves than threads), each solve additionally parallelizes
-    /// *within* its levels via [`SolveOptions::threads`]. Returns one
-    /// covering table per input config, in input order.
+    /// workers. Returns one covering table per input config, in input
+    /// order.
     ///
     /// The returned tables are the solver's (or the dedup pass's) own
     /// `Arc`s, **not** re-read from the cache afterwards: cache insertion
@@ -625,21 +606,13 @@ impl TableCache {
             shard.hits.fetch_add(members - 1, Ordering::Relaxed);
         }
 
-        // Split the thread budget: distinct keys fan out across workers,
-        // and whatever that fan-out leaves idle goes into each solve's
-        // intra-level segmented sweep.
-        let intra = (self.opts.resolved_threads() / jobs.len().max(1)).max(1);
-        let solve_opts = SolveOptions {
-            threads: intra,
-            ..self.opts
-        };
         let solved = cyclesteal_par::par_map(&jobs, |(_, cfg)| {
             self.solve_dense(
                 cfg.setup,
                 cfg.ticks_per_setup,
                 cfg.max_lifespan * self.growth,
                 cfg.max_interrupts,
-                solve_opts,
+                self.opts,
             )
         });
         let mut by_group: BTreeMap<(u64, u32), Arc<ValueTable>> = BTreeMap::new();
@@ -669,10 +642,10 @@ impl TableCache {
 
     /// Returns a compressed (skeleton) table covering
     /// `(setup, ticks_per_setup, ≥max_lifespan, max_interrupts)`, built
-    /// event-driven and stored **run-backed** on a miss
-    /// ([`crate::RowRepr::Runs`]: second-order arithmetic-run rows, an
-    /// order of magnitude fewer stored descriptors than flat lists,
-    /// bit-identical answers) — the cache entry point for huge-horizon
+    /// event-driven and stored **run-backed** on a miss (second-order
+    /// arithmetic-run rows, an order of magnitude fewer stored
+    /// descriptors than breakpoints, bit-identical answers) — the cache
+    /// entry point for huge-horizon
     /// sweeps (`10^7`–`10^9` ticks) where a dense arena is not an
     /// option. Same key, headroom and larger-budget-serves-smaller rules
     /// as [`Self::get`].
@@ -695,11 +668,6 @@ impl TableCache {
             ticks_per_setup,
             max_lifespan * self.growth,
             max_interrupts,
-            SolveOptions {
-                inner: InnerLoop::EventDriven,
-                repr: RowRepr::Runs,
-                ..self.opts
-            },
         ));
         let table = insert_if_larger(&self.shard(&key).compressed, key, table, &self.clock);
         self.enforce_budget();
@@ -1172,10 +1140,8 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (2, 1));
         assert_eq!((s.entries, s.compressed_entries), (0, 1));
-        // Cached skeletons are run-backed (second-order compression) and
-        // answer queries exactly like a fresh flat-list solve.
-        assert_eq!(a.repr(), RowRepr::Runs);
-        let direct = crate::compressed::CompressedTable::solve(secs(1.0), 8, secs(40.0), 2);
+        // Cached skeletons answer queries exactly like the dense sweep.
+        let direct = ValueTable::solve(secs(1.0), 8, secs(40.0), 2, SolveOptions::default());
         for l in 0..=direct.max_ticks() {
             assert_eq!(a.value_ticks(2, l), direct.value_ticks(2, l));
         }
@@ -1396,41 +1362,24 @@ mod tests {
         assert!(t.ns(Phase::DenseExpansion) > 0, "stepped clock ticks");
 
         let rec = PhaseRecorder::new(&clock);
-        let opts = SolveOptions {
-            inner: InnerLoop::EventDriven,
-            repr: RowRepr::Runs,
-            ..SolveOptions::default()
-        };
+        let opts = SolveOptions::default();
         let plain_c = CompressedTable::solve_with(secs(1.0), 8, secs(300.0), 2, opts);
         let profiled_c = CompressedTable::solve_profiled(secs(1.0), 8, secs(300.0), 2, opts, &rec);
-        assert_eq!(plain_c.events(), profiled_c.events());
-        for p in 0..=2u32 {
-            for l in 0..=plain_c.max_ticks() {
-                assert_eq!(plain_c.value_ticks(p, l), profiled_c.value_ticks(p, l));
-            }
-        }
+        assert_eq!(
+            plain_c, profiled_c,
+            "profiling must not change a single bit"
+        );
+        // Each level's event build and run compression are attributed
+        // separately; nothing else fires.
         let t = rec.timings();
         assert_eq!(t.calls(Phase::EventLoop), 2, "one event build per level");
-        assert_eq!(t.calls(Phase::SkeletonBuild), 0, "no tick walk ran");
-
-        // The tick-walking compressed build attributes skeleton build
-        // and run re-encoding separately.
-        let rec = PhaseRecorder::new(&clock);
-        let walk_opts = SolveOptions {
-            repr: RowRepr::Runs,
-            keep_policy: false,
-            inner: InnerLoop::FrontierSweep,
-            threads: 1,
-        };
-        let walked = CompressedTable::solve_profiled(secs(1.0), 8, secs(100.0), 2, walk_opts, &rec);
         assert_eq!(
-            walked.value_ticks(2, 800),
-            plain_c.value_ticks(2, 800),
-            "representations agree"
+            t.calls(Phase::RunCompression),
+            2,
+            "one compression per level"
         );
-        let t = rec.timings();
-        assert_eq!(t.calls(Phase::SkeletonBuild), 2);
-        assert_eq!(t.calls(Phase::RunCompression), 2);
+        assert_eq!(t.calls(Phase::SkeletonBuild), 0);
+        assert_eq!(t.calls(Phase::DenseExpansion), 0);
     }
 
     #[test]

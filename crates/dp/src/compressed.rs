@@ -1,4 +1,4 @@
-//! Breakpoint-compressed `W^(p)[L]` tables.
+//! Breakpoint-compressed `W^(p)[L]` tables — the production table.
 //!
 //! ## Why rows compress
 //!
@@ -13,37 +13,29 @@
 //! evaluated by rank query: `W(l) = (l − z) − #{flats ≤ l}` for `l` past
 //! the zero region `[0, z]`.
 //!
-//! ## Two skeleton representations
+//! ## Second-order storage
 //!
-//! [`RowRepr`] selects how the flat ticks are stored:
-//!
-//! * **Breakpoints** — one sorted `i64` per flat tick. First-order
-//!   compression: `O(k)` words, `k ≪ L`.
-//! * **Runs** — second-order compression ([`crate::run`]): the flats
-//!   are grouped into arithmetic runs (start, fixed-point common
-//!   difference, length) with one `i8` residual per jittery flat, so
-//!   the stored descriptor count tracks *regime changes* of the row
-//!   rather than individual breakpoints and memory drops to ≈1 byte
-//!   per breakpoint.
-//!
-//! Both are lossless; every query path reads through the shared
-//! `SkelCursor`/rank interface, so values, argmax and episodes are
-//! bit-identical across representations (and to the dense
-//! [`crate::ValueTable`]) — the equivalence property suite pins all of
-//! it down.
+//! The flat ticks themselves recur near-arithmetically (once per optimal
+//! period), so each row stores them as arithmetic runs (start,
+//! fixed-point common difference, length) with one `i8` residual per
+//! jittery flat ([`crate::run`]): the stored descriptor count tracks
+//! *regime changes* of the row rather than individual breakpoints, and
+//! memory drops to ≈1 byte per breakpoint. The encoding is lossless, so
+//! values, argmax and episodes are bit-identical to the dense
+//! [`crate::ValueTable`] — the equivalence property suite pins both
+//! against a brute-force oracle.
 //!
 //! ## Building level `p` on the skeleton of level `p−1`
 //!
-//! The builder runs the same monotone frontier sweep as the dense solver
-//! (see [`crate::value`]): the crossing residual `s*(l)` only advances
-//! with `l`, and every value the recursion reads — `W^(p−1)` and `W^(p)`
-//! at the frontier, `W^(p)(l−1)` for the wait candidate — is read at a
-//! (near-)monotone position. Lagging cursors into the skeletons serve
-//! those reads in `O(1)` amortized, so level `p` is built directly from
-//! level `p−1`'s compressed skeleton in `O(L)` time and `O(k)` memory,
-//! never materializing a dense row. Total: `O(p·L)` time, `O(p·k)`
-//! memory with `k ≪ L` — lifespans in the `10^8`-tick range fit in a few
-//! megabytes where the dense arena would need tens of gigabytes.
+//! Every table is built by the event-driven builder of [`crate::event`]:
+//! the dense solver's monotone frontier sweep (see [`crate::value`]),
+//! jumped from breakpoint to breakpoint instead of walked tick by tick.
+//! Level `p−1` is read through a forward cursor over its runs, so level
+//! `p` is built in `O(k log k)` time and `O(k)` memory without ever
+//! materializing a dense row. Total: `O(p·k log k)` time and `O(p·k)`
+//! memory with `k ≪ L` — a `10^9`-tick table builds in about a second
+//! and fits in megabytes where the dense arena would need tens of
+//! gigabytes.
 //!
 //! ## Policy queries without an argmax arena
 //!
@@ -56,8 +48,7 @@
 //! policy storage.
 
 use crate::grid::Grid;
-use crate::run::{RunCursor, RunFlatIter, RunRow, NO_FLAT};
-use crate::value::RowRepr;
+use crate::run::{RunCursor, RunFlatIter, RunRow};
 use cyclesteal_core::error::{ModelError, Result};
 use cyclesteal_core::model::Opportunity;
 use cyclesteal_core::policy::{EpisodePolicy, WorkOracle};
@@ -98,78 +89,32 @@ pub fn expand_value_runs(runs: &[ValueRun]) -> Vec<i64> {
     out
 }
 
-/// How one compressed row's flat ticks are stored: the first-order flat
-/// list or the second-order arithmetic runs of [`crate::run`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum RowSkeleton {
-    /// Sorted flat ticks, one word per breakpoint.
-    Flats(Vec<i64>),
-    /// Arithmetic runs + residual stream (see [`crate::run::RunRow`]).
-    Runs(RunRow),
-}
-
 /// One compressed row: the zero-region prefix plus the flat ticks past
-/// it, in either skeleton representation. Shared with the event-driven
-/// builder in [`crate::event`], which emits rows in this exact form.
+/// it as arithmetic runs. Shared with the event-driven builder in
+/// [`crate::event`], which emits rows in this exact form.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct CompressedRow {
     /// Largest `l` with `W(l) = 0` (the whole row when never positive).
     pub(crate) zero_until: i64,
-    skel: RowSkeleton,
+    /// The flat ticks past the zero region.
+    pub(crate) runs: RunRow,
 }
 
 impl CompressedRow {
     /// A row with no flat ticks past the zero region.
     pub(crate) fn empty(zero_until: i64) -> CompressedRow {
-        CompressedRow::from_flats(zero_until, Vec::new())
+        CompressedRow::from_runs(zero_until, RunRow::default())
     }
 
-    /// Wraps a sorted flat-tick list (first-order representation).
-    pub(crate) fn from_flats(zero_until: i64, flats: Vec<i64>) -> CompressedRow {
-        CompressedRow {
-            zero_until,
-            skel: RowSkeleton::Flats(flats),
-        }
-    }
-
-    /// Wraps a run-compressed skeleton (second-order representation).
+    /// Wraps a run-compressed skeleton.
     pub(crate) fn from_runs(zero_until: i64, runs: RunRow) -> CompressedRow {
-        CompressedRow {
-            zero_until,
-            skel: RowSkeleton::Runs(runs),
-        }
-    }
-
-    /// Re-encodes the row into `repr` (no-op when already there); the
-    /// flat ticks — and therefore every query — are unchanged.
-    pub(crate) fn into_repr(self, repr: RowRepr) -> CompressedRow {
-        match (repr, self.skel) {
-            (RowRepr::Runs, RowSkeleton::Flats(flats)) => {
-                CompressedRow::from_runs(self.zero_until, RunRow::compress(flats.into_iter()))
-            }
-            (_, skel) => CompressedRow {
-                zero_until: self.zero_until,
-                skel,
-            },
-        }
+        CompressedRow { zero_until, runs }
     }
 
     /// Number of flat ticks (row loss past the zero region).
     #[inline]
     pub(crate) fn count(&self) -> i64 {
-        match &self.skel {
-            RowSkeleton::Flats(flats) => flats.len() as i64,
-            RowSkeleton::Runs(runs) => runs.count(),
-        }
-    }
-
-    /// `#flats ≤ pos` by binary search.
-    #[inline]
-    pub(crate) fn rank_le(&self, pos: i64) -> i64 {
-        match &self.skel {
-            RowSkeleton::Flats(flats) => flats.partition_point(|&f| f <= pos) as i64,
-            RowSkeleton::Runs(runs) => runs.rank_le(pos),
-        }
+        self.runs.count()
     }
 
     /// `W(l)` by rank query over the flat ticks.
@@ -178,468 +123,159 @@ impl CompressedRow {
         if l <= self.zero_until {
             return 0;
         }
-        (l - self.zero_until) - self.rank_le(l)
+        (l - self.zero_until) - self.runs.rank_le(l)
     }
 
     /// A fresh forward cursor over this row's flat ticks.
-    pub(crate) fn cursor(&self) -> SkelCursor<'_> {
-        match &self.skel {
-            RowSkeleton::Flats(flats) => SkelCursor::Flats(FlatsCursor {
-                zero_until: self.zero_until,
-                flats,
-                idx: 0,
-            }),
-            RowSkeleton::Runs(runs) => SkelCursor::Runs(RunsCursor {
-                zero_until: self.zero_until,
-                runs,
-                cur: RunCursor::default(),
-            }),
-        }
-    }
-
-    /// The row's skeleton — lets monomorphizing callers (the event
-    /// builder) dispatch once per level instead of once per read.
-    pub(crate) fn skeleton(&self) -> &RowSkeleton {
-        &self.skel
-    }
-
-    /// A fresh monomorphic flat-list cursor (callers match on
-    /// [`Self::skeleton`] first).
-    pub(crate) fn flats_cursor_over<'a>(&self, flats: &'a [i64]) -> FlatsCursor<'a> {
-        FlatsCursor {
+    pub(crate) fn cursor(&self) -> RowCursor<'_> {
+        RowCursor {
             zero_until: self.zero_until,
-            flats,
-            idx: 0,
-        }
-    }
-
-    /// A fresh monomorphic run cursor (callers match on
-    /// [`Self::skeleton`] first).
-    pub(crate) fn runs_cursor_over<'a>(&self, runs: &'a RunRow) -> RunsCursor<'a> {
-        RunsCursor {
-            zero_until: self.zero_until,
-            runs,
+            runs: &self.runs,
             cur: RunCursor::default(),
         }
     }
 
     /// The rank `#flats ≤ pos` plus an iterator over the flats strictly
-    /// greater than `pos`, in increasing order — the expansion interface
-    /// of the parallel dense fill.
-    pub(crate) fn flats_after(&self, pos: i64) -> (i64, FlatIter<'_>) {
-        match &self.skel {
-            RowSkeleton::Flats(flats) => {
-                let idx = flats.partition_point(|&f| f <= pos);
-                (idx as i64, FlatIter::Flats(flats[idx..].iter()))
-            }
-            RowSkeleton::Runs(runs) => {
-                let mut it = runs.iter();
-                let rank = it.seek_after(pos);
-                (rank, FlatIter::Runs(it))
-            }
-        }
+    /// greater than `pos`, in increasing order.
+    pub(crate) fn flats_after(&self, pos: i64) -> (i64, RunFlatIter<'_>) {
+        let mut it = self.runs.iter();
+        let rank = it.seek_after(pos);
+        (rank, it)
     }
 
     /// Logical breakpoints: flat ticks + the zero-region edge. The
-    /// resolution-independent first-order row size, whatever the storage.
+    /// resolution-independent first-order row size.
     pub(crate) fn breakpoints(&self) -> usize {
         self.count() as usize + 1
     }
 
-    /// Breakpoints *stored* as explicit descriptors: flat ticks + 1 for
-    /// the flat list, arithmetic-run descriptors + 1 for the run form —
-    /// the second-order `k` the bench reports.
+    /// Breakpoints *stored* as explicit descriptors: arithmetic-run
+    /// descriptors + 1 for the zero edge — the second-order `k` the
+    /// bench reports.
     pub(crate) fn stored_breakpoints(&self) -> usize {
-        match &self.skel {
-            RowSkeleton::Flats(flats) => flats.len() + 1,
-            RowSkeleton::Runs(runs) => runs.descriptors() + 1,
-        }
+        self.runs.descriptors() + 1
     }
 
     pub(crate) fn memory_bytes(&self) -> usize {
-        // Capacity, not len: the accounting must reflect real heap use
-        // (build shrinks the vecs, so the two normally coincide).
-        std::mem::size_of::<CompressedRow>()
-            + match &self.skel {
-                RowSkeleton::Flats(flats) => flats.capacity() * std::mem::size_of::<i64>(),
-                RowSkeleton::Runs(runs) => runs.memory_bytes(),
-            }
+        std::mem::size_of::<CompressedRow>() + self.runs.memory_bytes()
     }
 }
 
-/// Iterator over a row's flat ticks past a seek position, either
-/// representation.
-pub(crate) enum FlatIter<'a> {
-    /// Remaining flats of a flat-list skeleton.
-    Flats(std::slice::Iter<'a, i64>),
-    /// Positioned iterator over a run skeleton.
-    Runs(RunFlatIter<'a>),
-}
-
-impl Iterator for FlatIter<'_> {
-    type Item = i64;
-
-    #[inline]
-    fn next(&mut self) -> Option<i64> {
-        match self {
-            FlatIter::Flats(it) => it.next().copied(),
-            FlatIter::Runs(it) => it.next(),
-        }
-    }
-}
-
-/// Forward-cursor interface over a row's flat ticks: rank
-/// (`#flats ≤ pos`), membership, next-flat and value queries in `O(1)`
-/// amortized for positions that move (nearly) monotonically forward,
-/// tolerating the small retreats the frontier sweep performs when it
-/// interleaves `s` and `s+1`. Implemented by one concrete cursor per
-/// skeleton representation so hot build loops (the event builder makes
-/// a few of these calls per event) monomorphize to the direct slice or
-/// run walk instead of dispatching per call; [`SkelCursor`] is the
-/// type-erased wrapper for paths where one branch per call is fine.
-pub(crate) trait SkelRead {
-    /// The row's zero-region edge.
-    fn zero_until(&self) -> i64;
-    /// `#flats ≤ pos`; positions the cursor for the sibling queries.
-    fn rank_le(&mut self, pos: i64) -> i64;
-    /// Whether `pos` itself is a flat tick. Only valid immediately
-    /// after [`Self::rank_le`] with the same `pos`.
-    fn is_flat(&self, pos: i64) -> bool;
-    /// The `k`-th flat tick strictly past the last [`Self::rank_le`]
-    /// position (`k = 0` ⇒ the first), or [`NO_FLAT`]. Only valid
-    /// immediately after [`Self::rank_le`].
-    fn peek(&self, k: u32) -> i64;
-    /// `W(pos)` through the cursor (amortized-`O(1)` staircase read).
-    #[inline]
-    fn value(&mut self, pos: i64) -> i64 {
-        let zero = self.zero_until();
-        let rank = self.rank_le(pos);
-        if pos <= zero {
-            0
-        } else {
-            (pos - zero) - rank
-        }
-    }
-}
-
-/// [`SkelRead`] over a flat-list skeleton.
+/// Forward cursor over a row's flat ticks: rank (`#flats ≤ pos`),
+/// membership, next-flat and zero-edge queries in `O(1)` amortized for
+/// positions that move (nearly) monotonically forward — the event
+/// builder's view of the completed previous level.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct FlatsCursor<'a> {
-    zero_until: i64,
-    flats: &'a [i64],
-    /// `#flats ≤` the last query position.
-    idx: usize,
-}
-
-impl SkelRead for FlatsCursor<'_> {
-    #[inline]
-    fn zero_until(&self) -> i64 {
-        self.zero_until
-    }
-
-    #[inline]
-    fn rank_le(&mut self, pos: i64) -> i64 {
-        while self.idx > 0 && self.flats[self.idx - 1] > pos {
-            self.idx -= 1;
-        }
-        while self.idx < self.flats.len() && self.flats[self.idx] <= pos {
-            self.idx += 1;
-        }
-        self.idx as i64
-    }
-
-    #[inline]
-    fn is_flat(&self, pos: i64) -> bool {
-        self.idx > 0 && self.flats[self.idx - 1] == pos
-    }
-
-    #[inline]
-    fn peek(&self, k: u32) -> i64 {
-        self.flats
-            .get(self.idx + k as usize)
-            .copied()
-            .unwrap_or(NO_FLAT)
-    }
-}
-
-/// [`SkelRead`] over a run-backed skeleton.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct RunsCursor<'a> {
+pub(crate) struct RowCursor<'a> {
     zero_until: i64,
     runs: &'a RunRow,
     cur: RunCursor,
 }
 
-impl SkelRead for RunsCursor<'_> {
+impl RowCursor<'_> {
+    /// The row's zero-region edge.
     #[inline]
-    fn zero_until(&self) -> i64 {
+    pub(crate) fn zero_until(&self) -> i64 {
         self.zero_until
     }
 
+    /// `#flats ≤ pos`; positions the cursor for the sibling queries.
     #[inline]
-    fn rank_le(&mut self, pos: i64) -> i64 {
+    pub(crate) fn rank_le(&mut self, pos: i64) -> i64 {
         self.cur.rank_le(self.runs, pos)
     }
 
+    /// Whether `pos` itself is a flat tick. Only valid immediately
+    /// after [`Self::rank_le`] with the same `pos`.
     #[inline]
-    fn is_flat(&self, pos: i64) -> bool {
+    pub(crate) fn is_flat(&self, pos: i64) -> bool {
         self.cur.is_flat(self.runs, pos)
     }
 
+    /// The `k`-th flat tick strictly past the last [`Self::rank_le`]
+    /// position (`k = 0` ⇒ the first), or [`crate::run::NO_FLAT`]. Only
+    /// valid immediately after [`Self::rank_le`].
     #[inline]
-    fn peek(&self, k: u32) -> i64 {
+    pub(crate) fn peek(&self, k: u32) -> i64 {
         self.cur.peek(self.runs, k)
     }
 }
 
-/// Type-erased forward cursor over a [`CompressedRow`] — one predictable
-/// branch per call, for readers (like the parallel dense fill's replay)
-/// that are not monomorphized per representation.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum SkelCursor<'a> {
-    /// Cursor into a flat-list skeleton.
-    Flats(FlatsCursor<'a>),
-    /// Cursor into a run-backed skeleton.
-    Runs(RunsCursor<'a>),
-}
-
-impl SkelRead for SkelCursor<'_> {
-    #[inline]
-    fn zero_until(&self) -> i64 {
-        match self {
-            SkelCursor::Flats(c) => c.zero_until(),
-            SkelCursor::Runs(c) => c.zero_until(),
-        }
-    }
-
-    #[inline]
-    fn rank_le(&mut self, pos: i64) -> i64 {
-        match self {
-            SkelCursor::Flats(c) => c.rank_le(pos),
-            SkelCursor::Runs(c) => c.rank_le(pos),
-        }
-    }
-
-    #[inline]
-    fn is_flat(&self, pos: i64) -> bool {
-        match self {
-            SkelCursor::Flats(c) => c.is_flat(pos),
-            SkelCursor::Runs(c) => c.is_flat(pos),
-        }
-    }
-
-    #[inline]
-    fn peek(&self, k: u32) -> i64 {
-        match self {
-            SkelCursor::Flats(c) => c.peek(k),
-            SkelCursor::Runs(c) => c.peek(k),
-        }
-    }
-}
-
-/// Amortized-O(1) evaluator for positions that move (nearly)
-/// monotonically forward over a plain flat-tick slice — the
-/// tick-walking builder's view of the row *under construction* (which
-/// is not yet a [`CompressedRow`]). Tolerates small retreats.
-#[derive(Clone, Copy, Debug, Default)]
-struct FlatSliceCursor {
-    rank: usize,
-}
-
-impl FlatSliceCursor {
-    #[inline]
-    fn value(&mut self, zero_until: i64, flats: &[i64], pos: i64) -> i64 {
-        while self.rank > 0 && flats[self.rank - 1] > pos {
-            self.rank -= 1;
-        }
-        while self.rank < flats.len() && flats[self.rank] <= pos {
-            self.rank += 1;
-        }
-        if pos <= zero_until {
-            0
-        } else {
-            (pos - zero_until) - self.rank as i64
-        }
-    }
-}
-
-/// `W^(p)[L]` for all `p ≤ p_max`, `L ≤ L_max`, stored as breakpoint
-/// skeletons: `O(p·k)` memory with `k ≪ L`, exact agreement with the
-/// dense [`crate::ValueTable`] on values, argmax and episodes.
+/// `W^(p)[L]` for all `p ≤ p_max`, `L ≤ L_max`, stored as run-compressed
+/// breakpoint skeletons: `O(p·k)` memory with `k ≪ L`, exact agreement
+/// with the dense [`crate::ValueTable`] on values, argmax and episodes.
 ///
 /// Equality is **structural**: two tables compare equal only when every
-/// field — grid, extent, representation, event count and each row's
-/// skeleton storage — matches exactly. This is the bit-identical
-/// round-trip contract of the persistence layer
-/// (`from_parts(to_parts(t)) == t`, see [`crate::snapshot`]); two
-/// tables holding the same *values* in different representations are
-/// deliberately unequal.
+/// field — grid, extent, event count and each row's run storage —
+/// matches exactly. This is the bit-identical round-trip contract of the
+/// persistence layer (`from_parts(to_parts(t)) == t`, see
+/// [`crate::snapshot`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct CompressedTable {
     pub(crate) grid: Grid,
     pub(crate) max_ticks: i64,
     pub(crate) max_interrupts: u32,
-    pub(crate) repr: RowRepr,
     pub(crate) rows: Vec<CompressedRow>,
-    /// Build-loop iterations summed over all levels: one per tick for the
-    /// tick-walking build, one per breakpoint event for the event-driven
-    /// build (see [`Self::events`]).
+    /// Build-loop iterations summed over all levels: one per breakpoint
+    /// event (see [`Self::events`]).
     pub(crate) events: u64,
-}
-
-/// Builds level `p` from the completed level `p−1` skeleton by the
-/// monotone frontier sweep, recording only slope-0 ticks. Walks every
-/// tick; the run-skipping alternative is [`crate::event`]. Always emits
-/// the flat-list form — [`CompressedRow::into_repr`] re-encodes when the
-/// solve asked for runs. Monomorphized over the prev representation so
-/// the inner loop (4 reads per tick, `O(p·L)` of them) compiles to the
-/// direct slice walk for flat-list rows.
-pub(crate) fn build_level(prev: &CompressedRow, n: i64, q: i64) -> CompressedRow {
-    match &prev.skel {
-        RowSkeleton::Flats(flats) => build_level_from(prev.flats_cursor_over(flats), n, q),
-        RowSkeleton::Runs(runs) => build_level_from(prev.runs_cursor_over(runs), n, q),
-    }
-}
-
-fn build_level_from<R: SkelRead>(mut prev_at: R, n: i64, q: i64) -> CompressedRow {
-    let mut zero_until = 0i64;
-    let mut flats: Vec<i64> = Vec::new();
-    let mut last = 0i64; // W^(p)(l−1)
-    let mut frontier = 0i64; // crossing residual s*, nondecreasing in l
-    let mut cur_at = FlatSliceCursor::default(); // reads cur at s / s+1
-
-    for l in 1..=n {
-        let mut best = last;
-        if l > q {
-            let tau = l - q;
-            let s_cap = l - q - 1;
-            while frontier < s_cap {
-                let s1 = frontier + 1;
-                let h = s1 + prev_at.value(s1) - cur_at.value(zero_until, &flats, s1);
-                if h <= tau {
-                    frontier += 1;
-                } else {
-                    break;
-                }
-            }
-            let s = frontier;
-            let t_star = l - s;
-            let mut cand = prev_at
-                .value(s)
-                .min((t_star - q) + cur_at.value(zero_until, &flats, s));
-            if t_star > q + 1 {
-                let v_left = prev_at
-                    .value(s + 1)
-                    .min((t_star - 1 - q) + cur_at.value(zero_until, &flats, s + 1));
-                cand = cand.max(v_left);
-            }
-            if cand >= best {
-                best = cand;
-            }
-        }
-
-        let inc = best - last;
-        debug_assert!(
-            inc == 0 || inc == 1,
-            "row not monotone 1-Lipschitz at l={l}: {last} -> {best}"
-        );
-        if best == 0 {
-            zero_until = l;
-        } else if inc == 0 {
-            flats.push(l);
-        }
-        last = best;
-    }
-    // Incremental pushes leave up to 2× capacity slack; release it so
-    // the memory accounting (and the actual footprint) stay tight.
-    flats.shrink_to_fit();
-    CompressedRow::from_flats(zero_until, flats)
 }
 
 impl CompressedTable {
     /// Solves the game bottom-up for interrupt levels `0..=max_interrupts`
-    /// and lifespans `0..=max_lifespan` at `ticks_per_setup` resolution,
-    /// storing each level as its breakpoint skeleton. Walks every tick
-    /// (`O(p·L)` time); for huge lifespans prefer [`Self::solve_with`]
-    /// with [`crate::InnerLoop::EventDriven`].
+    /// and lifespans `0..=max_lifespan` at `ticks_per_setup` resolution
+    /// with the event-driven build ([`crate::event`], `O(p·k log k)`
+    /// time, `k` = breakpoints), storing each level as its run-compressed
+    /// breakpoint skeleton ([`crate::run`]). The one way a compressed
+    /// table is built; values, argmax and episodes are bit-identical to
+    /// the dense [`crate::ValueTable`].
+    ///
+    /// ```
+    /// use cyclesteal_core::time::secs;
+    /// use cyclesteal_dp::{CompressedTable, SolveOptions, ValueTable};
+    ///
+    /// let table = CompressedTable::solve(secs(1.0), 8, secs(500.0), 2);
+    /// // Bit-identical to the dense frontier sweep:
+    /// let dense = ValueTable::solve(secs(1.0), 8, secs(500.0), 2, SolveOptions::default());
+    /// assert_eq!(table.value_ticks(2, 4000), dense.value_ticks(2, 4000));
+    /// // …while storing far fewer descriptors than breakpoints:
+    /// assert!(table.stored_breakpoints(2) < table.breakpoints(2));
+    /// ```
     pub fn solve(
         setup: Time,
         ticks_per_setup: u32,
         max_lifespan: Time,
         max_interrupts: u32,
     ) -> CompressedTable {
-        Self::solve_with(
-            setup,
-            ticks_per_setup,
-            max_lifespan,
-            max_interrupts,
-            crate::value::SolveOptions {
-                keep_policy: false,
-                inner: crate::value::InnerLoop::FrontierSweep,
-                threads: 1,
-                repr: RowRepr::Breakpoints,
-            },
-        )
+        Self::solve_inner(setup, ticks_per_setup, max_lifespan, max_interrupts, None)
     }
 
-    /// [`Self::solve`] with an explicit inner-build and row-representation
-    /// selection. [`crate::InnerLoop::EventDriven`] jumps lifespan ahead
-    /// run by run (`O(p·k log k)` time, `k` = breakpoints — see
-    /// [`crate::event`]); every other variant walks the ticks with the
-    /// monotone frontier sweep. [`crate::RowRepr::Runs`] stores the
-    /// emitted skeletons second-order-compressed (arithmetic runs, see
-    /// [`crate::run`]). All combinations emit identical values, argmax
-    /// and episodes; `keep_policy` is ignored (compressed tables
-    /// re-derive the policy at query time for free).
-    ///
-    /// ```
-    /// use cyclesteal_core::time::secs;
-    /// use cyclesteal_dp::{CompressedTable, InnerLoop, RowRepr, SolveOptions};
-    ///
-    /// // An event-driven, run-compressed solve: the configuration for
-    /// // huge lifespans (here kept small so the example runs fast).
-    /// let opts = SolveOptions {
-    ///     keep_policy: false,
-    ///     inner: InnerLoop::EventDriven,
-    ///     repr: RowRepr::Runs,
-    ///     ..SolveOptions::default()
-    /// };
-    /// let table = CompressedTable::solve_with(secs(1.0), 8, secs(500.0), 2, opts);
-    /// // Bit-identical to the tick-walking flat-list build:
-    /// let walked = CompressedTable::solve(secs(1.0), 8, secs(500.0), 2);
-    /// assert_eq!(table.value_ticks(2, 4000), walked.value_ticks(2, 4000));
-    /// // …while storing far fewer explicit descriptors:
-    /// assert!(table.stored_breakpoints(2) <= walked.stored_breakpoints(2));
-    /// ```
+    /// [`Self::solve`], accepting a [`crate::SolveOptions`] for source
+    /// compatibility: no field of it changes the build or the table
+    /// (`keep_policy` is moot — compressed tables re-derive the policy
+    /// at query time for free).
     pub fn solve_with(
         setup: Time,
         ticks_per_setup: u32,
         max_lifespan: Time,
         max_interrupts: u32,
-        opts: crate::value::SolveOptions,
+        _opts: crate::value::SolveOptions,
     ) -> CompressedTable {
-        Self::solve_inner(
-            setup,
-            ticks_per_setup,
-            max_lifespan,
-            max_interrupts,
-            opts,
-            None,
-        )
+        Self::solve_inner(setup, ticks_per_setup, max_lifespan, max_interrupts, None)
     }
 
     /// [`Self::solve_with`] with per-phase timing recorded into
-    /// `recorder` (see [`crate::profile`]): the event-driven build
-    /// loop, the tick-walking skeleton build and the run re-encoding
-    /// are each attributed to their [`crate::Phase`]. The clock is read
-    /// only between phases, so the emitted table is bit-identical to
-    /// the unprofiled solve.
+    /// `recorder` (see [`crate::profile`]): each level's event-driven
+    /// build loop is attributed to [`crate::Phase::EventLoop`] and its
+    /// run compression to [`crate::Phase::RunCompression`]. The clock
+    /// is read only between phases, so the emitted table is
+    /// bit-identical to the unprofiled solve.
     pub fn solve_profiled(
         setup: Time,
         ticks_per_setup: u32,
         max_lifespan: Time,
         max_interrupts: u32,
-        opts: crate::value::SolveOptions,
+        _opts: crate::value::SolveOptions,
         recorder: &crate::profile::PhaseRecorder<'_>,
     ) -> CompressedTable {
         Self::solve_inner(
@@ -647,7 +283,6 @@ impl CompressedTable {
             ticks_per_setup,
             max_lifespan,
             max_interrupts,
-            opts,
             Some(recorder),
         )
     }
@@ -657,54 +292,39 @@ impl CompressedTable {
         ticks_per_setup: u32,
         max_lifespan: Time,
         max_interrupts: u32,
-        opts: crate::value::SolveOptions,
         prof: Option<&crate::profile::PhaseRecorder<'_>>,
     ) -> CompressedTable {
         use crate::profile::{time_opt, Phase};
         let grid = Grid::new(setup, ticks_per_setup);
         let n = grid.to_ticks(max_lifespan).max(0);
         let q = grid.q();
-        let event_driven = opts.inner == crate::value::InnerLoop::EventDriven;
 
-        // `threads` only parallelizes the per-level breakpoint-run
-        // expansion inside the event-driven builder — the build loop (and
-        // with it the event count and the emitted skeleton) is identical
-        // at every thread count. The tick-walking build stays sequential.
-        let threads = opts.resolved_threads();
         let mut rows = Vec::with_capacity(max_interrupts as usize + 1);
         let mut events: u64 = 0;
         // Level 0: W^(0)(l) = l ⊖ Q — a pure zero region, no flats after.
         rows.push(CompressedRow::empty(q.min(n)));
         for _p in 1..=max_interrupts {
             let prev = rows.last().expect("level p−1 present");
-            let row = if event_driven {
-                let (row, level_events) = time_opt(prof, Phase::EventLoop, || {
-                    crate::event::build_level_events(prev, n, q, threads, opts.repr)
-                });
-                events += level_events;
-                row
-            } else {
-                events += n.max(0) as u64;
-                let built = time_opt(prof, Phase::SkeletonBuild, || build_level(prev, n, q));
-                time_opt(prof, Phase::RunCompression, || built.into_repr(opts.repr))
-            };
-            rows.push(row);
+            let (built, level_events) = time_opt(prof, Phase::EventLoop, || {
+                crate::event::build_level_events(prev, n, q)
+            });
+            events += level_events;
+            rows.push(time_opt(prof, Phase::RunCompression, || built.into_row()));
         }
 
         CompressedTable {
             grid,
             max_ticks: n,
             max_interrupts,
-            repr: opts.repr,
             rows,
             events,
         }
     }
 
-    /// Build-loop iterations summed over all levels: `p·L` for the
-    /// tick-walking build, the number of breakpoint events (skips, stalls
-    /// and boundary single-steps) for the event-driven build. The
-    /// `perf_dp` bench reports this as `event_count`.
+    /// Build-loop iterations summed over all levels: the number of
+    /// breakpoint events (skips, stalls and boundary single-steps) the
+    /// event-driven build took. The `perf_dp` bench reports this as
+    /// `event_count`.
     pub fn events(&self) -> u64 {
         self.events
     }
@@ -737,38 +357,22 @@ impl CompressedTable {
         self.max_interrupts
     }
 
-    /// The row representation the table was solved into.
-    pub fn repr(&self) -> RowRepr {
-        self.repr
-    }
-
-    /// Short human label for the row representation — what
-    /// `examples/guarantee_explorer.rs` prints per query.
-    pub fn repr_name(&self) -> &'static str {
-        match self.repr {
-            RowRepr::Breakpoints => "breakpoint",
-            RowRepr::Runs => "run",
-        }
-    }
-
     /// Logical breakpoints at level `p` (flat ticks + the zero edge) —
-    /// the resolution-independent row size, identical across
-    /// representations.
+    /// the resolution-independent row size.
     pub fn breakpoints(&self, p: u32) -> usize {
         self.rows[p.min(self.max_interrupts) as usize].breakpoints()
     }
 
-    /// Breakpoints *stored* as explicit descriptors at level `p`: equal
-    /// to [`Self::breakpoints`] for the flat-list form, the
-    /// arithmetic-run descriptor count for [`crate::RowRepr::Runs`] —
-    /// the `run_compressed_breakpoints` number of the `perf_dp` bench.
+    /// Breakpoints *stored* as explicit descriptors at level `p`: the
+    /// arithmetic-run descriptor count plus the zero edge — the
+    /// `run_compressed_breakpoints` number of the `perf_dp` bench.
     pub fn stored_breakpoints(&self, p: u32) -> usize {
         self.rows[p.min(self.max_interrupts) as usize].stored_breakpoints()
     }
 
     /// Bytes held by all row skeletons — the number the `perf_dp` bench
-    /// compares against [`crate::ValueTable::memory_bytes`] (and, across
-    /// representations, reports as `run_memory_bytes`).
+    /// compares against [`crate::ValueTable::memory_bytes`] and reports
+    /// as `run_memory_bytes`.
     pub fn memory_bytes(&self) -> usize {
         self.rows.iter().map(CompressedRow::memory_bytes).sum()
     }
@@ -790,8 +394,7 @@ impl CompressedTable {
     /// per breakpoint in range) — what the serving layer's streaming
     /// wire mode ships for sweep-shaped queries instead of a dense
     /// array. Derived from the zero-region edge and the flat-tick
-    /// iterator only, so both [`RowRepr`] storage forms emit identical
-    /// descriptors, and [`expand_value_runs`] reproduces
+    /// iterator only; [`expand_value_runs`] reproduces
     /// [`Self::value_ticks`] at every covered tick bit for bit.
     ///
     /// # Panics
@@ -882,8 +485,7 @@ impl CompressedTable {
     /// The optimal first-period length (in ticks) at state `(p, l)`,
     /// re-derived from the skeletons with the dense solver's exact
     /// tie-breaks — bit-identical to
-    /// [`crate::ValueTable::first_period_ticks`] under the default
-    /// frontier-sweep/bisection inner loops.
+    /// [`crate::ValueTable::first_period_ticks`].
     pub fn first_period_ticks(&self, p: u32, l: i64) -> i64 {
         assert!(
             (0..=self.max_ticks).contains(&l),
@@ -1014,18 +616,8 @@ mod tests {
         ValueTable::solve(secs(1.0), q, secs(max_u), p, SolveOptions::default())
     }
 
-    fn solve_runs(q: u32, max_u: f64, p: u32) -> CompressedTable {
-        CompressedTable::solve_with(
-            secs(1.0),
-            q,
-            secs(max_u),
-            p,
-            SolveOptions {
-                keep_policy: false,
-                repr: RowRepr::Runs,
-                ..SolveOptions::default()
-            },
-        )
+    fn solve(q: u32, max_u: f64, p: u32) -> CompressedTable {
+        CompressedTable::solve(secs(1.0), q, secs(max_u), p)
     }
 
     #[test]
@@ -1037,21 +629,14 @@ mod tests {
             (16, 1.0, 2),
         ] {
             let d = dense(q, max_u, p);
-            let c = CompressedTable::solve(secs(1.0), q, secs(max_u), p);
-            let r = solve_runs(q, max_u, p);
+            let c = solve(q, max_u, p);
             assert_eq!(d.max_ticks(), c.max_ticks());
-            assert_eq!(d.max_ticks(), r.max_ticks());
             for pp in 0..=p {
                 for l in 0..=d.max_ticks() {
                     assert_eq!(
                         d.value_ticks(pp, l),
                         c.value_ticks(pp, l),
                         "value mismatch at q={q}, p={pp}, l={l}"
-                    );
-                    assert_eq!(
-                        d.value_ticks(pp, l),
-                        r.value_ticks(pp, l),
-                        "run-backed value mismatch at q={q}, p={pp}, l={l}"
                     );
                 }
             }
@@ -1061,19 +646,13 @@ mod tests {
     #[test]
     fn matches_dense_argmax_exactly() {
         let d = dense(8, 100.0, 3);
-        let c = CompressedTable::solve(secs(1.0), 8, secs(100.0), 3);
-        let r = solve_runs(8, 100.0, 3);
+        let c = solve(8, 100.0, 3);
         for p in 0..=3u32 {
             for l in 1..=d.max_ticks() {
                 assert_eq!(
                     d.first_period_ticks(p, l),
                     c.first_period_ticks(p, l),
                     "argmax mismatch at p={p}, l={l}"
-                );
-                assert_eq!(
-                    d.first_period_ticks(p, l),
-                    r.first_period_ticks(p, l),
-                    "run-backed argmax mismatch at p={p}, l={l}"
                 );
             }
         }
@@ -1082,18 +661,14 @@ mod tests {
     #[test]
     fn episodes_are_bit_identical_to_dense() {
         let d = dense(16, 200.0, 2);
-        let c = CompressedTable::solve(secs(1.0), 16, secs(200.0), 2);
-        let r = solve_runs(16, 200.0, 2);
+        let c = solve(16, 200.0, 2);
         for p in 1..=2u32 {
             for &u in &[17.0, 63.0, 128.5, 200.0] {
                 let de = d.episode(p, secs(u)).unwrap();
                 let ce = c.episode(p, secs(u)).unwrap();
-                let re = r.episode(p, secs(u)).unwrap();
                 assert_eq!(de.len(), ce.len(), "period count at p={p}, U={u}");
-                assert_eq!(de.len(), re.len(), "run period count at p={p}, U={u}");
                 for k in 0..de.len() {
                     assert_eq!(de.period(k), ce.period(k), "period {k} at p={p}, U={u}");
-                    assert_eq!(de.period(k), re.period(k), "run period {k} at p={p}, U={u}");
                 }
             }
         }
@@ -1103,8 +678,8 @@ mod tests {
     fn row_size_tracks_loss_not_lifespan() {
         // Doubling the lifespan must not double the skeleton: breakpoints
         // scale like the √-loss, not like L.
-        let a = CompressedTable::solve(secs(1.0), 16, secs(500.0), 2);
-        let b = CompressedTable::solve(secs(1.0), 16, secs(2000.0), 2);
+        let a = solve(16, 500.0, 2);
+        let b = solve(16, 2000.0, 2);
         let (ka, kb) = (a.breakpoints(2), b.breakpoints(2));
         assert!(
             (kb as f64) < 3.0 * ka as f64,
@@ -1122,53 +697,45 @@ mod tests {
 
     #[test]
     fn run_backed_rows_store_fewer_descriptors() {
-        // Second-order compression: the stored descriptor count and the
-        // footprint both drop below the flat list's, while the logical
-        // breakpoints stay identical.
-        let flat = CompressedTable::solve(secs(1.0), 16, secs(4000.0), 2);
-        let runs = solve_runs(16, 4000.0, 2);
-        assert_eq!(flat.breakpoints(2), runs.breakpoints(2));
+        // Second-order compression: the stored descriptor count drops
+        // well below the logical breakpoints, and the footprint below
+        // the 8 bytes per flat tick a flat list would hold.
+        let runs = solve(16, 4000.0, 2);
         assert!(
-            runs.stored_breakpoints(2) * 2 < flat.stored_breakpoints(2),
-            "runs stored {} of {} flat descriptors — second-order compression inert",
+            runs.stored_breakpoints(2) * 2 < runs.breakpoints(2),
+            "runs stored {} of {} breakpoints — second-order compression inert",
             runs.stored_breakpoints(2),
-            flat.stored_breakpoints(2)
+            runs.breakpoints(2)
         );
+        let flats: usize = (0..=2).map(|p| runs.breakpoints(p) - 1).sum();
         assert!(
-            runs.memory_bytes() < flat.memory_bytes(),
-            "run-backed table larger than flat list: {} vs {}",
-            runs.memory_bytes(),
-            flat.memory_bytes()
+            runs.memory_bytes() < flats * std::mem::size_of::<i64>(),
+            "run-backed table no smaller than a flat list: {} B for {flats} flats",
+            runs.memory_bytes()
         );
-        assert_eq!(flat.repr_name(), "breakpoint");
-        assert_eq!(runs.repr_name(), "run");
     }
 
     #[test]
     fn degenerate_lifespans() {
         // L = 0: one all-zero state per level.
-        let c = CompressedTable::solve(secs(1.0), 8, secs(0.0), 2);
+        let c = solve(8, 0.0, 2);
         assert_eq!(c.max_ticks(), 0);
         for p in 0..=2 {
             assert_eq!(c.value_ticks(p, 0), 0);
         }
         assert!(c.episode(1, secs(0.0)).is_err());
         // L = 1 tick: still inside every zero region.
-        let c = CompressedTable::solve(secs(1.0), 8, secs(0.125), 2);
+        let c = solve(8, 0.125, 2);
         assert_eq!(c.max_ticks(), 1);
         assert_eq!(c.value_ticks(1, 1), 0);
         let e = c.episode(1, secs(0.125)).unwrap();
         assert_eq!(e.len(), 1);
-        // Run-backed degenerate rows behave identically.
-        let r = solve_runs(8, 0.125, 2);
-        assert_eq!(r.max_ticks(), 1);
-        assert_eq!(r.value_ticks(1, 1), 0);
     }
 
     #[test]
     fn interpolation_matches_dense() {
         let d = dense(8, 64.0, 2);
-        let c = CompressedTable::solve(secs(1.0), 8, secs(64.0), 2);
+        let c = solve(8, 64.0, 2);
         for &u in &[0.06, 10.33, 29.99, 64.0] {
             assert_eq!(d.value(2, secs(u)), c.value(2, secs(u)), "U={u}");
         }
@@ -1177,52 +744,38 @@ mod tests {
     #[test]
     fn value_runs_expand_to_the_exact_staircase() {
         // The streaming descriptors must reproduce value_ticks bit for
-        // bit at every covered tick, for every window placement and
-        // under both skeleton representations.
-        let flat = CompressedTable::solve(secs(1.0), 8, secs(120.0), 3);
-        let runs = solve_runs(8, 120.0, 3);
-        let max = flat.max_ticks();
-        for table in [&flat, &runs] {
-            for p in 0..=3u32 {
-                for (first, count) in [
-                    (0, 1),
-                    (0, max),
-                    (0, max + 1),
-                    (1, max),
-                    (max, 1),
-                    (7, 200),
-                    (max / 2, max / 3),
-                ] {
-                    let got = expand_value_runs(&table.value_runs(p, first, count));
-                    assert_eq!(got.len() as i64, count, "p={p} first={first}");
-                    for (j, &v) in got.iter().enumerate() {
-                        assert_eq!(
-                            v,
-                            table.value_ticks(p, first + j as i64),
-                            "repr={} p={p} tick={}",
-                            table.repr_name(),
-                            first + j as i64
-                        );
-                    }
+        // bit at every covered tick, for every window placement.
+        let table = solve(8, 120.0, 3);
+        let max = table.max_ticks();
+        for p in 0..=3u32 {
+            for (first, count) in [
+                (0, 1),
+                (0, max),
+                (0, max + 1),
+                (1, max),
+                (max, 1),
+                (7, 200),
+                (max / 2, max / 3),
+            ] {
+                let got = expand_value_runs(&table.value_runs(p, first, count));
+                assert_eq!(got.len() as i64, count, "p={p} first={first}");
+                for (j, &v) in got.iter().enumerate() {
+                    assert_eq!(
+                        v,
+                        table.value_ticks(p, first + j as i64),
+                        "p={p} tick={}",
+                        first + j as i64
+                    );
                 }
             }
         }
-        // Both representations emit the SAME descriptors, not merely
-        // equal expansions: the accessor reads only the shared
-        // flats_after interface.
-        for p in 0..=3u32 {
-            assert_eq!(
-                flat.value_runs(p, 0, max + 1),
-                runs.value_runs(p, 0, max + 1)
-            );
-        }
         // Compression: one descriptor per breakpoint in range (the
         // O(√(QL) + pQ) flat count), not one per tick.
-        let descriptors = flat.value_runs(3, 0, max + 1).len();
+        let descriptors = table.value_runs(3, 0, max + 1).len();
         assert!(
-            descriptors <= flat.breakpoints(3) * 2 + 2,
+            descriptors <= table.breakpoints(3) * 2 + 2,
             "{descriptors} runs vs {} breakpoints",
-            flat.breakpoints(3)
+            table.breakpoints(3)
         );
         assert!(
             (descriptors as i64) * 2 < max,

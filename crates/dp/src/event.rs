@@ -2,11 +2,10 @@
 //!
 //! ## Why ticks can be skipped
 //!
-//! The tick-walking builds ([`crate::value`] dense, [`crate::compressed`]
-//! skeleton) spend `O(1)` per lifespan tick, which caps practical
-//! lifespans near `10^6`–`10^7` ticks. But between breakpoints *every*
-//! quantity the frontier-sweep recursion touches advances linearly in
-//! `l`:
+//! The dense frontier sweep ([`crate::value`]) spends `O(1)` per
+//! lifespan tick, which caps practical lifespans near `10^6`–`10^7`
+//! ticks. But between breakpoints *every* quantity the frontier-sweep
+//! recursion touches advances linearly in `l`:
 //!
 //! * the threshold `τ = l − Q` and the frontier cap `s_cap = τ − 1` gain
 //!   one tick per tick;
@@ -44,20 +43,14 @@
 //! descriptor in `O(1)` instead of `d` vector pushes, and the builder's
 //! own reads of the partial row go through a forward-only `BlockCursor`
 //! (rank, next-flat and membership queries, each `O(1)` amortized).
-//! Reads of the *completed* previous level go through the
-//! representation-blind `SkelCursor` (see [`crate::compressed`]), so the build
-//! loop — and therefore the event count and the emitted skeleton — is
-//! identical whether level `p−1` was stored as a flat list or as
-//! second-order arithmetic runs.
+//! Reads of the *completed* previous level go through a forward cursor
+//! over its arithmetic runs (see [`crate::compressed`]).
 //!
-//! Once a level is fully determined, [`crate::RowRepr`] decides what the
-//! runs become: `Breakpoints` expands them into the sorted flat-tick
-//! list (an embarrassingly parallel concatenation fanned out over
-//! `cyclesteal-par` workers when the caller's `SolveOptions::threads`
-//! asks for them — each worker owns a disjoint slice of the output, so
-//! the result is byte-identical at every thread count), while `Runs`
-//! feeds them straight into the second-order compressor of
-//! [`crate::run`] **without ever materializing a per-breakpoint list**.
+//! Once a level is fully determined, `BuildRow::into_row` feeds its
+//! block runs straight into the second-order compressor of
+//! [`crate::run`] **without ever materializing a per-breakpoint list**;
+//! the solver times that step as its own
+//! [`crate::Phase::RunCompression`].
 //!
 //! ## Cost
 //!
@@ -68,8 +61,8 @@
 //! `O(L / t̄)` lockstep windows (`t̄` = the current optimal period length,
 //! which bounds how far reads may run ahead of the determined prefix) —
 //! `O(p·k log k)` overall for all levels, with `k = O(√(QL) + pQ) ≪ L`.
-//! A `(Q=32, p=16, L=10^9)` table builds in under a second where the
-//! tick walk would take minutes and a dense arena would need tens of
+//! A `(Q=32, p=16, L=10^9)` table builds in about a second where the
+//! dense sweep would take minutes and a dense arena would need tens of
 //! gigabytes.
 //!
 //! ## Exactness
@@ -80,12 +73,12 @@
 //! candidate is `B`; and both candidates were already `≤` the running
 //! maximum when the span began. Whenever a precondition cannot be
 //! verified the builder takes a single exact tick instead — so the
-//! output is *bit-identical* to the tick-walking builds by construction,
-//! which `tests/equivalence_props.rs` pins down over randomized setups.
+//! output is *bit-identical* to the dense sweep by construction, which
+//! `tests/equivalence_props.rs` pins down over randomized setups, with
+//! both checked against a brute-force oracle.
 
-use crate::compressed::{CompressedRow, RowSkeleton, SkelRead};
+use crate::compressed::{CompressedRow, RowCursor};
 use crate::run::{RunRow, NO_FLAT};
-use crate::value::RowRepr;
 
 /// A maximal run of consecutive flat ticks `start, start+1, …,
 /// start+len−1` of the row under construction.
@@ -101,7 +94,7 @@ pub(crate) struct FlatRun {
 /// flat ticks. The builder reads it through `BlockCursor`s and converts
 /// it into a [`CompressedRow`] only once the level is complete.
 #[derive(Debug, Default)]
-struct BuildRow {
+pub(crate) struct BuildRow {
     /// Largest `l` with `W(l) = 0` so far.
     zero_until: i64,
     /// Flat runs, sorted, disjoint, never adjacent (adjacent appends are
@@ -129,6 +122,16 @@ impl BuildRow {
     #[inline]
     fn push_flat(&mut self, pos: i64) {
         self.push_run(pos, 1);
+    }
+
+    /// The completed level as a stored row: the block runs fed straight
+    /// into the second-order compressor, without expanding a
+    /// per-breakpoint list.
+    pub(crate) fn into_row(self) -> CompressedRow {
+        CompressedRow::from_runs(
+            self.zero_until,
+            RunRow::compress(self.runs.iter().flat_map(|r| r.start..r.start + r.len)),
+        )
     }
 }
 
@@ -192,14 +195,13 @@ fn val(zero: i64, rank_le: i64, x: i64) -> i64 {
 }
 
 /// One exact tick of the monotone frontier sweep, transcribed from the
-/// dense solver (`value::solve_level`) onto cursor reads. Used for every
+/// dense solver (`value::sweep_fill`) onto cursor reads. Used for every
 /// tick where no linear span is provable: zero-region edges, flat
 /// crossings, cap transitions. `pc` is the forward-only cursor into the
 /// completed previous level; `rc` serves the same queries against the
 /// run-encoded row under construction.
-#[allow(clippy::too_many_arguments)]
-fn single_step<C: SkelRead>(
-    pc: &mut C,
+fn single_step(
+    pc: &mut RowCursor<'_>,
     cur: &mut BuildRow,
     l: &mut i64,
     last: &mut i64,
@@ -288,108 +290,26 @@ fn emit_tick(cur: &mut BuildRow, l: &mut i64, last: &mut i64, best: i64) {
     *l += 1;
 }
 
-/// Expands run-length-encoded flat runs into the sorted flat-tick list a
-/// flat-list [`CompressedRow`] stores. With `threads > 1` the runs are
-/// partitioned into contiguous chunks of roughly equal flat count and
-/// each worker writes its own disjoint slice of the output —
-/// byte-identical to the sequential expansion by construction.
-fn materialize_runs(runs: &[FlatRun], count: i64, threads: usize) -> Vec<i64> {
-    let count = count as usize;
-    let mut flats = vec![0i64; count];
-    let expand = |out: &mut [i64], runs: &[FlatRun]| {
-        let mut slot = out.iter_mut();
-        for r in runs {
-            for x in r.start..r.start + r.len {
-                *slot.next().expect("run lengths sum to the slice length") = x;
-            }
-        }
-        debug_assert!(slot.next().is_none(), "slice longer than its runs");
-    };
-    // Below ~16k flats the expansion is cheaper than waking workers.
-    if threads <= 1 || count < (1 << 14) {
-        expand(&mut flats, runs);
-        return flats;
-    }
-    let target = count.div_ceil(threads);
-    let mut jobs: Vec<(&mut [i64], &[FlatRun])> = Vec::with_capacity(threads + 1);
-    let mut rest: &mut [i64] = &mut flats;
-    let mut run_lo = 0usize;
-    while run_lo < runs.len() {
-        let mut take_flats = 0usize;
-        let mut run_hi = run_lo;
-        while run_hi < runs.len() && take_flats < target {
-            take_flats += runs[run_hi].len as usize;
-            run_hi += 1;
-        }
-        let (seg, tail) = std::mem::take(&mut rest).split_at_mut(take_flats);
-        jobs.push((seg, &runs[run_lo..run_hi]));
-        rest = tail;
-        run_lo = run_hi;
-    }
-    cyclesteal_par::par_sweep_segments(jobs, threads, |(seg, chunk): (&mut [i64], &[FlatRun])| {
-        expand(seg, chunk)
-    });
-    flats
-}
-
 /// Builds level `p` from the completed level `p−1` skeleton by event
-/// jumps. Returns the row — in the representation `repr` asks for — and
-/// the number of events (loop iterations — span applications plus
-/// boundary single-steps) taken. `threads` only affects how a
-/// flat-list expansion is fanned out; the build loop — and therefore the
-/// event count and the emitted flat ticks — is identical at every thread
-/// count and in every representation.
-pub(crate) fn build_level_events(
-    prev: &CompressedRow,
-    n: i64,
-    q: i64,
-    threads: usize,
-    repr: RowRepr,
-) -> (CompressedRow, u64) {
-    // Dispatch on the prev representation once per level, so the build
-    // loop's few-reads-per-event monomorphize to direct slice/run walks.
-    match prev.skeleton() {
-        RowSkeleton::Flats(flats) => build_events_from(
-            prev.flats_cursor_over(flats),
-            prev.count(),
-            n,
-            q,
-            threads,
-            repr,
-        ),
-        RowSkeleton::Runs(runs) => build_events_from(
-            prev.runs_cursor_over(runs),
-            prev.count(),
-            n,
-            q,
-            threads,
-            repr,
-        ),
-    }
-}
-
-fn build_events_from<C: SkelRead>(
-    mut pc: C,
-    prev_count: i64,
-    n: i64,
-    q: i64,
-    threads: usize,
-    repr: RowRepr,
-) -> (CompressedRow, u64) {
+/// jumps. Returns the row under construction — [`BuildRow::into_row`]
+/// turns it into the stored form — and the number of events (loop
+/// iterations — span applications plus boundary single-steps) taken.
+pub(crate) fn build_level_events(prev: &CompressedRow, n: i64, q: i64) -> (BuildRow, u64) {
+    let mut pc = prev.cursor();
     let pz = pc.zero_until();
     let mut cur = BuildRow::default();
     // Level p's loss exceeds level p−1's by roughly one period's worth,
     // but runs compress consecutive flats; a modest seed avoids the first
     // few doubling-and-copy rounds without over-reserving.
-    cur.runs.reserve(prev_count as usize / 8 + 32);
+    cur.runs.reserve(prev.count() as usize / 8 + 32);
     let mut l: i64 = 0; // last computed tick
     let mut last: i64 = 0; // W^(p)(l)
     let mut s: i64 = 0; // crossing residual s*, nondecreasing in l
     let mut events: u64 = 0;
     // Forward-only cursors at position s+1: the previous level through
-    // the representation-blind skeleton cursor, the row under
-    // construction through the block cursor. `s` never retreats, so each
-    // cursor crosses each flat once per level.
+    // its run cursor, the row under construction through the block
+    // cursor. `s` never retreats, so each cursor crosses each flat once
+    // per level.
     let mut rc = BlockCursor::default();
 
     // Ticks 1..=Q carry no productive period and a zero wait-chain: the
@@ -502,67 +422,77 @@ fn build_events_from<C: SkelRead>(
         single_step(&mut pc, &mut cur, &mut l, &mut last, &mut s, q, &mut rc);
     }
 
-    let row = match repr {
-        RowRepr::Breakpoints => CompressedRow::from_flats(
-            cur.zero_until,
-            materialize_runs(&cur.runs, cur.count, threads),
-        ),
-        // Feed the block runs straight into the second-order compressor
-        // without expanding a per-breakpoint list.
-        RowRepr::Runs => CompressedRow::from_runs(
-            cur.zero_until,
-            RunRow::compress(cur.runs.iter().flat_map(|r| r.start..r.start + r.len)),
-        ),
-    };
-    (row, events)
+    (cur, events)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::{SolveOptions, ValueTable};
+    use cyclesteal_core::time::secs;
 
-    fn all_flats(row: &CompressedRow) -> Vec<i64> {
-        row.flats_after(i64::MIN + 1).1.collect()
+    /// Builds levels `1..=p_max` on top of each other, as the solver does.
+    fn build_levels(q: i64, n: i64, p_max: u32) -> Vec<(CompressedRow, u64)> {
+        let mut prev = CompressedRow::empty(q.min(n));
+        let mut out = Vec::new();
+        for _p in 1..=p_max {
+            let (built, events) = build_level_events(&prev, n, q);
+            prev = built.into_row();
+            out.push((prev.clone(), events));
+        }
+        out
     }
 
-    /// The event builder against the tick-walking skeleton builder, level
-    /// by level, across resolutions that exercise stalls, cap pinning and
-    /// flat runs — in both output representations. (The
-    /// cross-representation equivalence suite lives in
+    /// The event builder against the dense frontier sweep, level by
+    /// level and at every lifespan, across resolutions that exercise
+    /// stalls, cap pinning and flat runs, up to half a million ticks.
+    /// (The randomized suite, with a brute-force oracle, lives in
     /// `tests/equivalence_props.rs`.)
     #[test]
-    fn levels_match_tick_walk_exactly() {
-        for (q, n, p_max) in [(1i64, 400i64, 4u32), (4, 1000, 3), (16, 3000, 5), (7, 0, 2)] {
-            let mut prev = CompressedRow::empty(q.min(n));
-            for p in 1..=p_max {
-                let walked = crate::compressed::build_level(&prev, n, q);
-                let (jumped, events) = build_level_events(&prev, n, q, 1, RowRepr::Breakpoints);
-                let (runs, run_events) = build_level_events(&prev, n, q, 1, RowRepr::Runs);
+    fn levels_match_dense_sweep_exactly() {
+        for (q, n, p_max) in [
+            (1i64, 400i64, 4u32),
+            (4, 1000, 3),
+            (16, 3000, 5),
+            (7, 0, 2),
+            (3, 200_000, 3),
+            (16, 500_000, 3),
+            (1, 50_000, 3),
+        ] {
+            let dense = ValueTable::solve(
+                secs(1.0),
+                q as u32,
+                secs(n as f64 / q as f64),
+                p_max,
+                SolveOptions {
+                    keep_policy: false,
+                    ..SolveOptions::default()
+                },
+            );
+            assert_eq!(dense.max_ticks(), n);
+            for (p, (row, events)) in (1..=p_max).zip(build_levels(q, n, p_max)) {
+                let want = dense.row(p);
+                let zero_until = want.iter().rposition(|&w| w == 0).unwrap_or(0) as i64;
                 assert_eq!(
-                    walked.zero_until, jumped.zero_until,
+                    row.zero_until, zero_until,
                     "zero region differs at q={q}, n={n}, p={p}"
                 );
-                assert_eq!(
-                    all_flats(&walked),
-                    all_flats(&jumped),
-                    "flat ticks differ at q={q}, n={n}, p={p}"
-                );
-                assert_eq!(events, run_events, "repr changed the event count");
-                assert_eq!(runs.zero_until, jumped.zero_until);
-                assert_eq!(
-                    all_flats(&runs),
-                    all_flats(&jumped),
-                    "run-backed flat ticks differ at q={q}, n={n}, p={p}"
-                );
+                let mut cursor = row.cursor();
+                for (l, &w) in want.iter().enumerate() {
+                    let l = l as i64;
+                    let got = if l <= row.zero_until {
+                        0
+                    } else {
+                        (l - row.zero_until) - cursor.rank_le(l)
+                    };
+                    assert_eq!(got, w, "value differs at q={q}, n={n}, p={p}, l={l}");
+                }
                 if n >= 1000 {
                     assert!(
                         events < n as u64,
                         "event build took {events} events for {n} ticks — not skipping"
                     );
                 }
-                // Alternate which representation seeds the next level, so
-                // the builder's prev-reads cover both cursor paths.
-                prev = if p % 2 == 0 { jumped } else { runs };
             }
         }
     }
@@ -573,8 +503,7 @@ mod tests {
     fn deep_lifespan_event_count_is_sublinear() {
         let n: i64 = 5_000_000;
         let q: i64 = 8;
-        let prev = CompressedRow::empty(q);
-        let (row, events) = build_level_events(&prev, n, q, 1, RowRepr::Breakpoints);
+        let (row, events) = build_levels(q, n, 1).pop().unwrap();
         // k = O(√(QL)): ~9e3 here. Events track k, not L.
         assert!(
             (events as i64) < n / 50,
@@ -583,43 +512,14 @@ mod tests {
         // The flat count equals the total loss L − W(L) by construction;
         // confirm the far-end value closes the books.
         assert_eq!(row.value(n), n - row.zero_until - row.count());
-
-        // The run-backed output stores the same function in a fraction of
-        // the descriptors.
-        let (runs, _) = build_level_events(&prev, n, q, 1, RowRepr::Runs);
-        assert_eq!(runs.value(n), row.value(n));
-        assert_eq!(runs.count(), row.count());
+        // The run-backed row stores the function in a fraction of the
+        // descriptors a flat list would need.
         assert!(
-            runs.stored_breakpoints() * 4 < row.stored_breakpoints(),
+            row.stored_breakpoints() * 4 < row.breakpoints(),
             "second-order compression inert: {} of {} descriptors",
-            runs.stored_breakpoints(),
-            row.stored_breakpoints()
+            row.stored_breakpoints(),
+            row.breakpoints()
         );
-    }
-
-    /// The parallel run expansion is byte-identical to the sequential
-    /// one, events included, across thread counts and run shapes that
-    /// land chunk boundaries inside and between runs.
-    #[test]
-    fn parallel_materialization_is_identical() {
-        for (q, n) in [(3i64, 200_000i64), (16, 500_000), (1, 50_000)] {
-            let mut prev = CompressedRow::empty(q.min(n));
-            for _p in 1..=3u32 {
-                let (seq, seq_events) = build_level_events(&prev, n, q, 1, RowRepr::Breakpoints);
-                for threads in [2usize, 4, 8] {
-                    let (par, par_events) =
-                        build_level_events(&prev, n, q, threads, RowRepr::Breakpoints);
-                    assert_eq!(seq_events, par_events, "event count at {threads} threads");
-                    assert_eq!(seq.zero_until, par.zero_until);
-                    assert_eq!(
-                        all_flats(&seq),
-                        all_flats(&par),
-                        "flats differ at {threads} threads"
-                    );
-                }
-                prev = seq;
-            }
-        }
     }
 
     /// BlockCursor rank/membership/next queries against a brute-force

@@ -3,49 +3,38 @@
 //! The exact game solver for the guaranteed-output cycle-stealing model:
 //! the ground truth every guideline in the paper is measured against.
 //!
-//! Five layers, fast to slow and small to large:
+//! One build per table kind, and one independent oracle to check both:
 //!
-//! * [`value::ValueTable`] — the dense solver: `W^(p)[L]` exactly on an
-//!   integer tick grid (the paper's §4 bootstrapping, executed rather
-//!   than assumed), stored in one flat arena and solved with a monotone
-//!   **frontier sweep** in `O(p·L)` (bisection and linear-scan inner
-//!   loops remain behind [`value::SolveOptions`] as ablations).
-//!   Reconstructs optimal episode schedules and implements
-//!   [`cyclesteal_core::policy::WorkOracle`], so Theorem 4.3's equalizer
-//!   can be driven by exact values for any `p`. With
-//!   `SolveOptions { threads, .. }` the solve parallelizes **inside**
-//!   each level — the sixth solver path: levels stay sequential, but
-//!   each level is skeletonized first (event-driven, `O(k log k)`) and
-//!   then expanded into the dense arena by workers sweeping disjoint
-//!   `l`-ranges, each resumed from a precomputed `h`-crossing anchor.
-//!   Values, argmax and episodes are bit-identical to the sequential
-//!   sweep at every thread count (pinned by
-//!   `tests/equivalence_props.rs` and `tests/parallel_props.rs`).
-//! * [`compressed::CompressedTable`] — the same values stored as
-//!   per-level **breakpoint skeletons** (`O(p·k)` memory, `k ≪ L`):
-//!   rows are 1-Lipschitz staircases whose flat ticks number only
-//!   `O(√(QL) + pQ)`, so lifespans in the `10^8`-tick range fit in
-//!   megabytes. Values, argmax and episodes agree with the dense solver
-//!   bit for bit.
-//! * [`run`] — **second-order (arithmetic-run) compression** of those
-//!   skeletons: the flat ticks recur near-arithmetically (once per
-//!   optimal period), so `RowRepr::Runs` stores each level as runs of
-//!   (start, fixed-point common difference, length) plus one `i8`
-//!   residual per jittery breakpoint — stored descriptors track *regime
-//!   changes* instead of breakpoints (an order of magnitude fewer at
-//!   the `10⁹`-tick bench point, ≈1 byte per breakpoint), and every
-//!   query path reads through the same cursors, so the output stays
-//!   bit-identical. Selected with `SolveOptions { repr: RowRepr::Runs,
-//!   .. }`; [`cache::TableCache::get_compressed`] caches run-backed
-//!   tables by default.
-//! * [`event`] — the **event-driven (run-skipping) build** of those
-//!   skeletons: between breakpoints every sweep quantity is linear in
-//!   `L`, so the builder jumps lifespan event to event (stall ends,
-//!   flat-tick onsets, branch/regime switches) in `O(p·k log k)` time —
-//!   `10^9`-tick tables in well under a second, bit-identical output.
-//!   Selected with `SolveOptions { inner: InnerLoop::EventDriven, .. }`
-//!   through [`compressed::CompressedTable::solve_with`]; emits either
-//!   representation directly, without a flat-list detour.
+//! * [`compressed::CompressedTable`] — the production table, behind
+//!   every served answer, the cache, the store and the simulator. Each
+//!   level is built by the **event-driven (run-skipping) builder** of
+//!   [`event`]: between breakpoints every quantity of the paper's §4
+//!   recursion is linear in `L`, so the builder jumps lifespan event to
+//!   event (stall ends, flat-tick onsets, branch/regime switches) in
+//!   `O(p·k log k)` time — `10^9`-tick tables in about a second. Rows
+//!   are 1-Lipschitz staircases whose flat ticks number only
+//!   `O(√(QL) + pQ)`, and each is stored **second-order compressed**
+//!   ([`run`]): the flat ticks recur near-arithmetically (once per
+//!   optimal period), so a level is kept as arithmetic runs (start,
+//!   fixed-point common difference, length) plus one `i8` residual per
+//!   jittery breakpoint — an order of magnitude fewer descriptors than
+//!   breakpoints at the `10⁹`-tick bench point, ≈1 byte per breakpoint.
+//! * [`value::ValueTable`] — the dense table: `W^(p)[L]` at every grid
+//!   lifespan in one flat arena, filled by the monotone **frontier
+//!   sweep** in `O(p·L)` (the paper's §4 bootstrapping, executed rather
+//!   than assumed). Reconstructs optimal episode schedules and
+//!   implements [`cyclesteal_core::policy::WorkOracle`], so Theorem
+//!   4.3's equalizer can be driven by exact values for any `p`. Values,
+//!   argmax and episodes agree with the compressed table bit for bit.
+//! * The oracle lives in the test suite (`tests/support/mod.rs`): the
+//!   §4 recursion `W^(p)(L) = max_{1≤t≤L} min(W^(p−1)(L−t), (t ⊖ c) +
+//!   W^(p)(L−t))` maximized over every `t`, with neither the wait
+//!   shortcut nor the `t > Q` restriction the two builds share.
+//!   `tests/equivalence_props.rs` checks both tables against it at
+//!   every state of its seeded grids.
+//!
+//! Around them:
+//!
 //! * [`cache::TableCache`] — one solve per `(setup, resolution, p_max)`
 //!   serves a whole `(U/c, p)` sweep; independent configurations solve
 //!   in parallel through `cyclesteal-par`, and
@@ -66,8 +55,8 @@
 //!   continuations read from run-compressed knot rows.
 //!
 //! A symbol-by-symbol map from the paper's notation (`W^(p)[L]`, `Q`,
-//! `h(s)`, episodes, the `h`-crossing anchor) to the types and functions
-//! here lives in `docs/NOTATION.md` at the repository root.
+//! `h(s)`, episodes) to the types and functions here lives in
+//! `docs/NOTATION.md` at the repository root.
 //!
 //! ```
 //! use cyclesteal_core::prelude::*;
@@ -81,10 +70,11 @@
 //! // §5.2's closed form is confirmed by the solver at p = 1:
 //! let diff = (table.value(1, secs(200.0)) - w1_exact(secs(200.0), c)).abs();
 //! assert!(diff.get() < 0.75);
-//! // The compressed skeleton stores the same function in a fraction of
-//! // the bytes:
+//! // The production table stores the same function in a fraction of
+//! // the bytes, with the same optimal first periods:
 //! let small = CompressedTable::solve(c, 32, secs(200.0), 2);
 //! assert_eq!(small.value_ticks(2, 6400), table.value_ticks(2, 6400));
+//! assert_eq!(small.first_period_ticks(2, 6400), table.first_period_ticks(2, 6400));
 //! assert!(small.memory_bytes() < table.memory_bytes());
 //! ```
 
@@ -148,7 +138,7 @@ mod cross_tests {
 
     #[test]
     fn equalizer_accepts_the_compressed_oracle_too() {
-        // WorkOracle is representation-blind: the breakpoint table drives
+        // WorkOracle is representation-blind: the compressed table drives
         // Theorem 4.3 exactly like the dense one.
         let c = secs(1.0);
         let table = crate::compressed::CompressedTable::solve(c, 32, secs(120.0), 2);

@@ -12,15 +12,17 @@
 //!
 //! Phases map onto the solver's real structure:
 //!
-//! - [`Phase::SkeletonBuild`] — the tick-walking breakpoint build
-//!   (`compressed::build_level`), one walk per interrupt level.
-//! - [`Phase::EventLoop`] — the event-driven run-skipping build
-//!   (`event::build_level_events`), used by compressed event-driven
-//!   solves and as the skeleton pass of parallel dense solves.
-//! - [`Phase::RunCompression`] — re-encoding a built level into its
-//!   second-order arithmetic-run representation (`into_repr`).
-//! - [`Phase::DenseExpansion`] — filling the dense value/argmax arena
-//!   (segmented parallel sweep or the sequential inner loop).
+//! - [`Phase::EventLoop`] — the event-driven run-skipping build loop
+//!   (`event::build_level_events`), once per interrupt level of a
+//!   compressed solve.
+//! - [`Phase::RunCompression`] — feeding a built level's flat runs into
+//!   its second-order arithmetic-run representation
+//!   (`BuildRow::into_row`), once per level of a compressed solve.
+//! - [`Phase::DenseExpansion`] — filling one level of the dense
+//!   value/argmax arena with the frontier sweep.
+//! - [`Phase::SkeletonBuild`] — never fires: the tick-walking skeleton
+//!   build it timed is gone. The variant and its metric label remain so
+//!   existing dashboards and callers keep compiling.
 
 use cyclesteal_obs::Clock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,11 +34,11 @@ pub const PHASE_COUNT: usize = 4;
 /// onto solver internals).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
-    /// Tick-walking breakpoint-skeleton build.
+    /// Retired tick-walking skeleton build; never recorded any more.
     SkeletonBuild,
     /// Event-driven (run-skipping) build loop.
     EventLoop,
-    /// Second-order run re-encoding of a built level.
+    /// Second-order run compression of a built level.
     RunCompression,
     /// Dense value/argmax arena fill.
     DenseExpansion,
@@ -104,8 +106,7 @@ impl PhaseTimings {
 }
 
 /// Accumulates phase timings against an injected clock. Thread-safe:
-/// the parallel dense path's coordinating thread and `TableCache`'s
-/// fanned-out batch solves may share one recorder.
+/// `TableCache`'s fanned-out batch solves may share one recorder.
 pub struct PhaseRecorder<'c> {
     clock: &'c dyn Clock,
     ns: [AtomicU64; PHASE_COUNT],

@@ -2,8 +2,8 @@
 //!
 //! ## Why skeletons compress again
 //!
-//! The first-order representation ([`crate::compressed`]) stores a row as
-//! its flat ticks — `k = O(√(QL) + pQ)` positions instead of `L` values.
+//! A row is determined by its flat ticks ([`crate::compressed`]) —
+//! `k = O(√(QL) + pQ)` positions instead of `L` values.
 //! But those positions are themselves highly structured: the optimal
 //! episode loses roughly one tick per period, so flats recur once per
 //! period length, and the period length drifts only slowly across the
@@ -31,9 +31,8 @@
 //! A run closes when the next flat's residual would overflow an `i8` —
 //! i.e. run boundaries track *regime changes* of the row, not individual
 //! breakpoints. The representation is **lossless**: every query is
-//! answered from the exact reconstructed positions, so run-backed tables
-//! are bit-identical to flat-list and dense tables (the equivalence
-//! suite pins this).
+//! answered from the exact reconstructed positions, so compressed tables
+//! are bit-identical to dense ones (the equivalence suite pins this).
 //!
 //! ## Cost
 //!
@@ -44,7 +43,7 @@
 //! reports both as `run_compressed_breakpoints` / `run_memory_bytes`.
 //! Queries stay `O(log r + log len)` random-access and `O(1)` amortized
 //! through the forward `RunCursor`, which is what the event-driven
-//! builder and the parallel dense expansion read the rows through.
+//! builder reads the previous level through.
 
 /// Sentinel for "no flat tick ahead" — large enough to never constrain a
 /// span, small enough to never overflow the arithmetic around it.
@@ -101,9 +100,8 @@ impl ArithRun {
     }
 }
 
-/// A row's flat ticks as arithmetic runs plus a shared residual stream.
-/// The second-order counterpart of the flat-tick list inside
-/// [`crate::compressed::CompressedRow`].
+/// A row's flat ticks as arithmetic runs plus a shared residual stream —
+/// the storage of every [`crate::compressed::CompressedRow`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct RunRow {
     pub(crate) runs: Vec<ArithRun>,

@@ -17,62 +17,29 @@
 //! complete. The recursion is well-founded in `L` and is solved bottom-up
 //! on the integer tick grid in exact `i64` arithmetic.
 //!
-//! ## The inner maximization, three ways
+//! ## The frontier sweep
 //!
 //! On `t ∈ [Q+1, L]` the interrupted branch `A(t) = W^(p−1)(L−t)` is
 //! nonincreasing and the completed branch `B(t) = (t−Q) + W^(p)(L−t)` is
 //! nondecreasing (both because `W` is nondecreasing and 1-Lipschitz), so
 //! `max_t min(A,B)` sits at the crossing. Nonproductive lengths `t ≤ Q`
 //! are dominated by the 1-tick "wait" candidate `W^(p)(L−1)`, which is
-//! also what makes each row monotone. [`SolveOptions::inner`] picks the
-//! search:
+//! also what makes each row monotone. Substituting `s = L − t`, the
+//! crossing condition `B ≥ A` reads `h(s) ≤ L − Q` for
+//! `h(s) = s + W^(p−1)(s) − W^(p)(s)`, and `h` is **nondecreasing in
+//! `s`** (both rows are 1-Lipschitz). As `L` grows by a tick the
+//! threshold `L − Q` only rises, so the crossing residual `s*(L)` only
+//! advances: one monotone pointer serves the whole level in `O(L)`
+//! amortized — the solve is `O(p·L)` total.
 //!
-//! * [`InnerLoop::FrontierSweep`] (default) — substituting `s = L − t`,
-//!   the crossing condition `B ≥ A` reads `h(s) ≤ L − Q` for
-//!   `h(s) = s + W^(p−1)(s) − W^(p)(s)`, and `h` is **nondecreasing in
-//!   `s`** (both rows are 1-Lipschitz). As `L` grows by a tick the
-//!   threshold `L − Q` only rises, so the crossing residual `s*(L)` only
-//!   advances: one monotone pointer serves the whole level in `O(L)`
-//!   amortized — the solve is `O(p·L)` total.
-//! * [`InnerLoop::Bisection`] — the seed algorithm: `O(log L)` bisection
-//!   per state, `O(p·L·log L)` total. Kept as a correctness ablation and
-//!   the baseline the `perf_dp` bench measures the sweep against.
-//! * [`InnerLoop::LinearScan`] — the `O(L)`-per-state reference used by
-//!   the E-series ablation and the equivalence property tests.
-//!
-//! Frontier sweep and bisection locate the *same* crossing and apply the
-//! same tie-breaks, so they agree on values **and** argmax (hence on
-//! reconstructed episodes) exactly; the linear scan takes the smallest
-//! maximizer, which can differ on plateaus while realizing the same
-//! value. The equivalence property tests in `tests/equivalence_props.rs`
-//! pin all of this down, together with the breakpoint-compressed solver
-//! in [`crate::compressed`].
-//!
-//! ## Intra-level parallelism
-//!
-//! The recursion is sequential in `p` (level `p` reads level `p−1`) and
-//! self-referential in `l` (the completed branch reads `cur[s]` for
-//! `s ≤ l − Q − 1`), so the row cannot simply be chopped up mid-sweep.
-//! With [`SolveOptions::threads`] `> 1` each level is instead solved in
-//! two phases that together cost less than one sequential sweep:
-//!
-//! 1. the level's **breakpoint skeleton** is built from the previous
-//!    level's skeleton by the event-driven builder ([`crate::event`]) in
-//!    `O(k log k)` — this fully determines the row's values, breaking
-//!    the self-reference;
-//! 2. workers expand disjoint `l`-ranges of the dense row concurrently.
-//!    A value-only fill is a pure rank walk off the skeleton; with
-//!    `keep_policy` each worker *replays* the frontier sweep over its
-//!    range — started from its **`h`-crossing anchor**
-//!    `frontier(a−1) = min(a−Q−2, max{s : h(s) ≤ a−1−Q})`, a binary
-//!    search over the two completed rows — reading the row under
-//!    construction through the skeleton, so candidate generation and
-//!    tie-breaks are literally the sequential code path and the argmax
-//!    comes out bit-identical at every thread count.
-//!
-//! Segment boundaries need no stitching: the anchor *is* the sweep state
-//! the sequential solver would carry into the segment, and all reads are
-//! of fully determined data.
+//! This sweep is the only way a dense table is filled. The event-driven
+//! build behind [`crate::CompressedTable`] ([`crate::event`]) jumps the
+//! same sweep from breakpoint to breakpoint and applies the same
+//! crossing rule and tie-breaks, so dense and compressed tables agree on
+//! values **and** argmax (hence on reconstructed episodes) exactly.
+//! `tests/equivalence_props.rs` pins both against an independent
+//! brute-force oracle that maximizes over every `t ∈ [1, L]`, with
+//! neither the wait shortcut nor the `t > Q` restriction.
 //!
 //! ## Storage
 //!
@@ -82,7 +49,6 @@
 //! flat `Vec<u32>`. For lifespans too large to hold densely at all, use
 //! [`crate::compressed::CompressedTable`].
 
-use crate::compressed::{CompressedRow, SkelRead};
 use crate::grid::Grid;
 use cyclesteal_core::error::{ModelError, Result};
 use cyclesteal_core::model::Opportunity;
@@ -91,73 +57,49 @@ use cyclesteal_core::schedule::EpisodeSchedule;
 use cyclesteal_core::time::{Time, Work};
 use std::sync::Arc;
 
-/// The inner-maximization algorithm used per state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// The inner-maximization algorithm. Retained only for source
+/// compatibility with callers that name it in a [`SolveOptions`]
+/// literal: each table kind has exactly one build — the frontier sweep
+/// for a dense [`ValueTable`], the event-driven build of
+/// [`crate::event`] for a [`crate::CompressedTable`] — and no solver
+/// branches on this value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum InnerLoop {
-    /// Monotone two-pointer crossing sweep: `O(L)` amortized per level.
-    FrontierSweep,
-    /// Per-state bisection on the crossing: `O(L log L)` per level.
-    Bisection,
-    /// Full scan over productive period lengths: `O(L²)` per level.
-    LinearScan,
     /// Event-driven run skipping: `O(k log k)` per level, `k` =
-    /// breakpoints (see [`crate::event`]). Native to the breakpoint
-    /// skeleton, so it is only a distinct build for
-    /// [`crate::CompressedTable::solve_with`]; a dense [`ValueTable`]
-    /// has no runs to skip and solves with the frontier sweep (the two
-    /// share one crossing rule, so values and argmax are identical
-    /// either way).
+    /// breakpoints (see [`crate::event`]).
+    #[default]
     EventDriven,
 }
 
-/// How compressed rows store their flat ticks — the skeletons of
-/// [`crate::CompressedTable`] and the internal per-level skeletons the
-/// intra-level parallel dense solve expands from. Purely a storage
-/// choice: values, argmax and episodes are bit-identical either way
-/// (pinned by the equivalence suite).
+/// How compressed rows store their flat ticks. Retained only for source
+/// compatibility: every [`crate::CompressedTable`] stores its levels as
+/// arithmetic runs and no code branches on this value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum RowRepr {
-    /// First-order: one sorted `i64` per flat tick (`O(k)` words).
-    #[default]
-    Breakpoints,
     /// Second-order: arithmetic runs (start, fixed-point common
     /// difference, length) plus an `i8` residual per jittery flat — the
     /// stored descriptor count tracks regime changes, not breakpoints,
     /// and memory drops to ≈1 byte per breakpoint. See [`crate::run`].
+    #[default]
     Runs,
 }
 
-/// Options for [`ValueTable::solve`].
+/// Options for [`ValueTable::solve`] and
+/// [`crate::CompressedTable::solve_with`].
 #[derive(Clone, Copy, Debug)]
 pub struct SolveOptions {
     /// Keep the argmax (first-period choice) per state, enabling
     /// [`ValueTable::episode`] and [`OptimalPolicy`]. Costs 4 bytes/state.
+    /// Compressed tables ignore it: they re-derive the policy at query
+    /// time.
     pub keep_policy: bool,
-    /// Inner-maximization algorithm (default [`InnerLoop::FrontierSweep`];
-    /// the others are correctness ablations).
+    /// Retained for source compatibility; see [`InnerLoop`].
     pub inner: InnerLoop,
-    /// Worker threads for the *intra-level* segmented sweep: `1` (the
-    /// default) keeps the classic fully sequential solve, `0` resolves to
-    /// [`cyclesteal_par::default_threads`] (which honors the
-    /// `CYCLESTEAL_THREADS` override), any other value is used as given.
-    ///
-    /// Levels stay sequential (level `p` reads level `p−1`); with more
-    /// than one thread each level is first skeletonized by the
-    /// event-driven builder ([`crate::event`]) and then expanded into the
-    /// dense row by workers sweeping disjoint `l`-ranges, each started at
-    /// a precomputed `h`-crossing anchor. The result is **bit-identical**
-    /// to the sequential solve at every thread count (values, argmax and
-    /// episodes — pinned by the equivalence and determinism suites). Only
-    /// [`InnerLoop::FrontierSweep`] and [`InnerLoop::EventDriven`] honor
-    /// the knob; the bisection and linear-scan ablations always run
-    /// sequentially.
+    /// Retained for source compatibility: both builds run sequentially
+    /// within a solve and ignore it. [`crate::TableCache::solve_many`]
+    /// parallelizes across distinct solves instead.
     pub threads: usize,
-    /// Skeleton representation for compressed rows (default
-    /// [`RowRepr::Breakpoints`]): what [`crate::CompressedTable`] stores
-    /// its levels as, and what the intra-level parallel dense solve
-    /// reads its per-level skeletons through. [`RowRepr::Runs`] is the
-    /// second-order-compressed form — bit-identical output, an order of
-    /// magnitude fewer stored descriptors.
+    /// Retained for source compatibility; see [`RowRepr`].
     pub repr: RowRepr,
 }
 
@@ -165,21 +107,9 @@ impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
             keep_policy: true,
-            inner: InnerLoop::FrontierSweep,
+            inner: InnerLoop::EventDriven,
             threads: 1,
-            repr: RowRepr::Breakpoints,
-        }
-    }
-}
-
-impl SolveOptions {
-    /// The worker count the solve will actually use: `threads` itself, or
-    /// [`cyclesteal_par::default_threads`] when `threads == 0`.
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            cyclesteal_par::default_threads()
-        } else {
-            self.threads
+            repr: RowRepr::Runs,
         }
     }
 }
@@ -201,35 +131,10 @@ pub struct ValueTable {
     argmax: Option<Vec<u32>>,
 }
 
-/// Solves one level: fills `cur[1..=n]` from the completed `prev` row.
-/// `cur[0]` must already be 0. The three strategies share candidate
-/// generation and tie-breaking; they differ only in how the crossing of
-/// the interrupted branch `A` and completed branch `B` is located.
-fn solve_level(
-    prev: &[i64],
-    cur: &mut [i64],
-    arg: Option<&mut [u32]>,
-    n: i64,
-    q: i64,
-    inner: InnerLoop,
-) {
-    match inner {
-        // The warm path: the register-carried frontier sweep below.
-        InnerLoop::FrontierSweep | InnerLoop::EventDriven => match arg {
-            Some(arg) => sweep_fill::<true>(prev, cur, arg, n, q),
-            None => sweep_fill::<false>(prev, cur, &mut [], n, q),
-        },
-        InnerLoop::Bisection | InnerLoop::LinearScan => {
-            solve_level_search(prev, cur, arg, n, q, inner)
-        }
-    }
-}
-
-/// The frontier-sweep level fill, bounds-check-audited (the first rung
-/// of the ROADMAP's SIMD/bounds-check item). The crossing rule and
-/// tie-breaks are literally the classic sweep's — values and argmax are
-/// bit-identical — but the memory traffic is restructured so the
-/// steady-state tick performs **no reads at all**:
+/// The frontier-sweep level fill: `cur[1..=n]` (and `arg` when `KEEP`)
+/// from the completed `prev` row; `cur[0]` must already be 0. The
+/// memory traffic is arranged so the steady-state tick performs **no
+/// reads at all**:
 ///
 /// * the wait candidate `cur[l−1]` is the carried local `last`;
 /// * the four row values the candidates need — `prev`/`cur` at the
@@ -243,8 +148,7 @@ fn solve_level(
 ///   candidate machinery per tick.
 ///
 /// The remaining per-tick slice accesses are the two sequential stores
-/// (`cur[l]`, and `arg[l]` when `KEEP`); eliding those too needs the
-/// blocked `split_at_mut` formulation — the next rung.
+/// (`cur[l]`, and `arg[l]` when `KEEP`).
 fn sweep_fill<const KEEP: bool>(prev: &[i64], cur: &mut [i64], arg: &mut [u32], n: i64, q: i64) {
     // Zero prefix: W(l) = 0 for l ≤ Q+1 on every level p ≥ 1, and a
     // zero-value state burns its whole lifespan in one period.
@@ -316,274 +220,6 @@ fn sweep_fill<const KEEP: bool>(prev: &[i64], cur: &mut [i64], arg: &mut [u32], 
     }
 }
 
-/// The bisection / linear-scan ablation fills (the seed algorithms the
-/// sweep is benched against); candidate generation and tie-breaks match
-/// [`sweep_fill`] exactly.
-fn solve_level_search(
-    prev: &[i64],
-    cur: &mut [i64],
-    mut arg: Option<&mut [u32]>,
-    n: i64,
-    q: i64,
-    inner: InnerLoop,
-) {
-    for l in 1..=n {
-        let lu = l as usize;
-        // Wait candidate: a 1-tick (nonproductive) period. Any t ≤ Q is
-        // dominated by it (see module docs).
-        let mut best = cur[lu - 1];
-        let mut best_t: i64 = 1;
-
-        if l > q {
-            let lo = q + 1;
-            let hi = l;
-            let (cand_t, cand_v) = match inner {
-                InnerLoop::FrontierSweep | InnerLoop::EventDriven => {
-                    unreachable!("sweep variants use sweep_fill")
-                }
-                InnerLoop::Bisection => {
-                    let a = |t: i64| prev[(l - t) as usize];
-                    let b = |t: i64| (t - q) + cur[(l - t) as usize];
-                    // Smallest t with B(t) ≥ A(t); B−A is nondecreasing.
-                    let (mut lo_s, mut hi_s) = (lo, hi);
-                    while lo_s < hi_s {
-                        let mid = lo_s + (hi_s - lo_s) / 2;
-                        if b(mid) >= a(mid) {
-                            hi_s = mid;
-                        } else {
-                            lo_s = mid + 1;
-                        }
-                    }
-                    let t_star = lo_s;
-                    let v_star = a(t_star).min(b(t_star));
-                    if t_star > lo {
-                        let v_left = a(t_star - 1).min(b(t_star - 1));
-                        if v_left > v_star {
-                            (t_star - 1, v_left)
-                        } else {
-                            (t_star, v_star)
-                        }
-                    } else {
-                        (t_star, v_star)
-                    }
-                }
-                InnerLoop::LinearScan => {
-                    let a = |t: i64| prev[(l - t) as usize];
-                    let b = |t: i64| (t - q) + cur[(l - t) as usize];
-                    let mut bt = lo;
-                    let mut bv = a(lo).min(b(lo));
-                    for t in lo + 1..=hi {
-                        let v = a(t).min(b(t));
-                        if v > bv {
-                            bv = v;
-                            bt = t;
-                        }
-                    }
-                    (bt, bv)
-                }
-            };
-            // Prefer a real period over waiting on ties.
-            if cand_v >= best {
-                best = cand_v;
-                best_t = cand_t;
-            }
-        }
-
-        // A zero-value state might as well burn the lifespan in one
-        // period; keeps reconstructed schedules small.
-        if best == 0 {
-            best_t = l;
-        }
-        cur[lu] = best;
-        if let Some(arg) = arg.as_deref_mut() {
-            arg[lu] = best_t as u32;
-        }
-    }
-}
-
-/// Minimum ticks per worker segment for the intra-level parallel sweep —
-/// below this, per-segment anchor setup and thread hand-off dominate the
-/// actual filling.
-const MIN_SEGMENT_TICKS: i64 = 256;
-
-/// How many segments an `n`-tick level is worth splitting into for
-/// `threads` workers (1 ⇒ run the plain sequential sweep).
-fn effective_segments(n: i64, threads: usize) -> usize {
-    if n < 2 * MIN_SEGMENT_TICKS {
-        return 1;
-    }
-    threads.max(1).min((n / MIN_SEGMENT_TICKS) as usize)
-}
-
-/// The frontier pointer's exact state after the sequential sweep has
-/// processed tick `m` — the `h`-crossing anchor a segment starting at
-/// `m + 1` resumes from. The sweep maintains
-/// `frontier(m) = min(m − Q − 1, max{s ≥ 0 : h(s) ≤ m − Q})` with
-/// `h(s) = s + prev(s) − cur(s)` nondecreasing, so the anchor is a
-/// binary search over the two completed rows (`prev` dense, `cur` as its
-/// skeleton in either representation).
-fn anchor_frontier(prev: &[i64], skel: &CompressedRow, q: i64, m: i64) -> i64 {
-    if m <= q {
-        return 0;
-    }
-    let tau = m - q;
-    let (mut lo, mut hi) = (0i64, m - q - 1);
-    while lo < hi {
-        let mid = lo + (hi - lo + 1) / 2;
-        if mid + prev[mid as usize] - skel.value(mid) <= tau {
-            lo = mid;
-        } else {
-            hi = mid - 1;
-        }
-    }
-    lo
-}
-
-/// One worker's share of a level: the tick range `[start, start+len)`
-/// as disjoint `&mut` windows into the level's value (and optionally
-/// argmax) arena rows.
-struct RowSegment<'a> {
-    start: i64,
-    vals: &'a mut [i64],
-    args: Option<&'a mut [u32]>,
-}
-
-/// Splits `cur[1..=n]` (and the matching argmax window) into `segments`
-/// near-equal consecutive [`RowSegment`]s.
-fn split_row_segments<'a>(
-    cur: &'a mut [i64],
-    arg: Option<&'a mut [u32]>,
-    n: i64,
-    segments: usize,
-) -> Vec<RowSegment<'a>> {
-    let mut out = Vec::with_capacity(segments);
-    let mut vals_rest = &mut cur[1..=n as usize];
-    let mut args_rest = arg.map(|a| &mut a[1..=n as usize]);
-    let mut start = 1i64;
-    for k in 0..segments {
-        let remaining = n - start + 1;
-        let take = (remaining / (segments - k) as i64).max(1).min(remaining);
-        let (vals, vtail) = std::mem::take(&mut vals_rest).split_at_mut(take as usize);
-        vals_rest = vtail;
-        let args = args_rest.take().map(|a| {
-            let (head, tail) = a.split_at_mut(take as usize);
-            args_rest = Some(tail);
-            head
-        });
-        out.push(RowSegment { start, vals, args });
-        start += take;
-    }
-    debug_assert_eq!(start, n + 1, "segments must tile [1, n]");
-    out
-}
-
-/// Fills one worker's segment of level `p ≥ 1` from the completed dense
-/// `prev` row and the level's own skeleton (flat-list or run-backed —
-/// every read goes through the representation-blind row API).
-///
-/// With an argmax window the segment *replays* the frontier sweep from
-/// its anchor — every read of the row under construction is served by
-/// the skeleton (those positions may belong to other segments), so the
-/// per-tick candidate generation and tie-breaking are literally the
-/// sequential [`solve_level`] arm and the argmax comes out bit-identical.
-/// Without one, the values alone are expanded straight off the skeleton
-/// by an incremental rank walk.
-fn fill_segment(seg: RowSegment<'_>, prev: &[i64], skel: &CompressedRow, q: i64) {
-    let RowSegment { start, vals, args } = seg;
-    let end = start + vals.len() as i64 - 1;
-    match args {
-        None => {
-            // Value-only expansion, run by run: between consecutive flat
-            // ticks the row is an arithmetic ramp, written by a tight
-            // (auto-vectorizable) loop instead of a per-tick rank check.
-            // The zero-region prefix is skipped outright — the arena
-            // arrives zero-initialized, so not touching it also avoids
-            // faulting pages the solve never reads.
-            let z = skel.zero_until;
-            let mut l = start.max(z + 1);
-            if l > end {
-                return;
-            }
-            let mut i = (l - start) as usize;
-            let (rank, mut flats) = skel.flats_after(l - 1);
-            let mut rank = rank;
-            let mut next_flat = flats.next().unwrap_or(i64::MAX);
-            loop {
-                let ramp_end = end.min(next_flat - 1);
-                if l <= ramp_end {
-                    let base = (l - z) - rank;
-                    let len = (ramp_end - l + 1) as usize;
-                    for (j, slot) in vals[i..i + len].iter_mut().enumerate() {
-                        *slot = base + j as i64;
-                    }
-                    i += len;
-                    l = ramp_end + 1;
-                }
-                if l > end {
-                    break;
-                }
-                // l == next_flat: the value repeats the previous tick's.
-                rank += 1;
-                vals[i] = (l - z) - rank;
-                i += 1;
-                l += 1;
-                next_flat = flats.next().unwrap_or(i64::MAX);
-                if l > end {
-                    break;
-                }
-            }
-        }
-        Some(args) => {
-            let mut last = skel.value(start - 1);
-            let mut frontier = anchor_frontier(prev, skel, q, start - 1);
-            let mut cur_at = skel.cursor();
-            for (i, l) in (start..=end).enumerate() {
-                let mut best = last;
-                let mut best_t: i64 = 1;
-                if l > q {
-                    let lo = q + 1;
-                    let tau = l - q;
-                    let s_cap = l - q - 1;
-                    while frontier < s_cap {
-                        let s1 = frontier + 1;
-                        let h = s1 + prev[s1 as usize] - cur_at.value(s1);
-                        if h <= tau {
-                            frontier += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    let su = frontier;
-                    let t_star = l - su;
-                    let v_star = prev[su as usize].min((t_star - q) + cur_at.value(su));
-                    let (cand_t, cand_v) = if t_star > lo {
-                        let s1 = su + 1;
-                        let v_left = prev[s1 as usize].min((t_star - 1 - q) + cur_at.value(s1));
-                        if v_left > v_star {
-                            (t_star - 1, v_left)
-                        } else {
-                            (t_star, v_star)
-                        }
-                    } else {
-                        (t_star, v_star)
-                    };
-                    if cand_v >= best {
-                        best = cand_v;
-                        best_t = cand_t;
-                    }
-                }
-                if best == 0 {
-                    best_t = l;
-                }
-                debug_assert_eq!(best, skel.value(l), "replay left the skeleton at l={l}");
-                vals[i] = best;
-                args[i] = best_t as u32;
-                last = best;
-            }
-        }
-    }
-}
-
 impl ValueTable {
     /// Solves the game bottom-up for `interrupt` levels `0..=max_interrupts`
     /// and lifespans `0..=max_lifespan` at `ticks_per_setup` resolution.
@@ -622,9 +258,8 @@ impl ValueTable {
     }
 
     /// [`Self::solve`] with per-phase timing recorded into `recorder`
-    /// (see [`crate::profile`]): the skeleton pass of the parallel path
-    /// is attributed to [`crate::Phase::EventLoop`] and the arena fill
-    /// (parallel or sequential) to [`crate::Phase::DenseExpansion`].
+    /// (see [`crate::profile`]): each level's arena fill is attributed
+    /// to [`crate::Phase::DenseExpansion`].
     /// The clock is read only between phases, so the solved table is
     /// bit-identical to the unprofiled solve.
     pub fn solve_profiled(
@@ -673,53 +308,17 @@ impl ValueTable {
             }
         }
 
-        // Intra-level parallel path: only the frontier-sweep crossing rule
-        // has the segmented formulation (the event-driven build shares it);
-        // the bisection/linear-scan ablations stay sequential.
-        let segments = match opts.inner {
-            InnerLoop::FrontierSweep | InnerLoop::EventDriven => {
-                effective_segments(n, opts.resolved_threads())
-            }
-            InnerLoop::Bisection | InnerLoop::LinearScan => 1,
-        };
-
-        if segments > 1 {
-            let threads = opts.resolved_threads();
-            // Levels stay sequential; within each level the row is first
-            // skeletonized (event-driven, O(k log k)) and then expanded —
-            // values and argmax — by workers on disjoint l-ranges, each
-            // resuming the sweep from its h-crossing anchor.
-            let mut prev_skel = CompressedRow::empty(q.min(n));
-            for p in 1..=max_interrupts as usize {
-                let (skel, _events) = time_opt(prof, Phase::EventLoop, || {
-                    crate::event::build_level_events(&prev_skel, n, q, threads, opts.repr)
-                });
-                let (done, rest) = levels.split_at_mut(p * stride);
-                let prev = &done[(p - 1) * stride..];
-                let cur = &mut rest[..stride];
-                let arg = argmax
-                    .as_mut()
-                    .map(|am| &mut am[p * stride..(p + 1) * stride]);
-                time_opt(prof, Phase::DenseExpansion, || {
-                    let jobs = split_row_segments(cur, arg, n, segments);
-                    cyclesteal_par::par_sweep_segments(jobs, threads, |seg| {
-                        fill_segment(seg, prev, &skel, q)
-                    });
-                });
-                prev_skel = skel;
-            }
-        } else {
-            for p in 1..=max_interrupts as usize {
-                let (done, rest) = levels.split_at_mut(p * stride);
-                let prev = &done[(p - 1) * stride..];
-                let cur = &mut rest[..stride];
-                let arg = argmax
-                    .as_mut()
-                    .map(|am| &mut am[p * stride..(p + 1) * stride]);
-                time_opt(prof, Phase::DenseExpansion, || {
-                    solve_level(prev, cur, arg, n, q, opts.inner)
-                });
-            }
+        for p in 1..=max_interrupts as usize {
+            let (done, rest) = levels.split_at_mut(p * stride);
+            let prev = &done[(p - 1) * stride..];
+            let cur = &mut rest[..stride];
+            let arg = argmax
+                .as_mut()
+                .map(|am| &mut am[p * stride..(p + 1) * stride]);
+            time_opt(prof, Phase::DenseExpansion, || match arg {
+                Some(arg) => sweep_fill::<true>(prev, cur, arg, n, q),
+                None => sweep_fill::<false>(prev, cur, &mut [], n, q),
+            });
         }
 
         ValueTable {
@@ -763,13 +362,6 @@ impl ValueTable {
     /// Whether the optimal first-period choice was kept per state.
     pub fn has_policy(&self) -> bool {
         self.argmax.is_some()
-    }
-
-    /// Short human label for the row representation — the counterpart of
-    /// [`crate::CompressedTable::repr_name`] ("breakpoint" / "run"), so
-    /// sweep reports can say which representation served each query.
-    pub fn repr_name(&self) -> &'static str {
-        "dense"
     }
 
     /// One solved row `W^(p)[0..=max_ticks]` as a slice into the arena.
@@ -950,11 +542,10 @@ mod tests {
         ValueTable::solve(secs(1.0), q, secs(max_u), p, SolveOptions::default())
     }
 
-    fn with_inner(inner: InnerLoop) -> SolveOptions {
-        SolveOptions {
-            inner,
-            ..SolveOptions::default()
-        }
+    /// The production table on the same grid: the event-driven build
+    /// behind every served answer.
+    fn production(q: u32, max_u: f64, p: u32) -> crate::CompressedTable {
+        crate::CompressedTable::solve(secs(1.0), q, secs(max_u), p)
     }
 
     #[test]
@@ -988,20 +579,28 @@ mod tests {
 
     #[test]
     fn zero_region_is_prop_41c() {
-        let t = small_table(8, 64.0, 3);
+        let dense = small_table(8, 64.0, 3);
+        let served = production(8, 64.0, 3);
+        // (dense, production) at one state.
+        let w = |p: u32, l: i64| (dense.value_ticks(p, l), served.value_ticks(p, l));
         let q = 8i64;
         for p in 0..=3u32 {
             let threshold = (p as i64 + 1) * q;
             for l in 0..=threshold {
-                assert_eq!(t.value_ticks(p, l), 0, "W^{p}[{l}] should be 0");
+                assert_eq!(
+                    w(p, l),
+                    (0, 0),
+                    "W^{p}[{l}] should be 0 (dense, production)"
+                );
             }
             // Just above: (p+1) periods of Q+1 ticks leave one survivor
             // banking one tick even after p kills.
             let above = (p as i64 + 1) * (q + 1);
-            if above <= t.max_ticks() {
+            if above <= dense.max_ticks() {
+                let (d, c) = w(p, above);
                 assert!(
-                    t.value_ticks(p, above) >= 1,
-                    "W^{p}[{above}] should be positive"
+                    d >= 1 && c >= 1,
+                    "W^{p}[{above}] should be positive: {d}, {c}"
                 );
             }
         }
@@ -1011,110 +610,24 @@ mod tests {
     fn p1_matches_section_52_closed_form() {
         // Grid restriction can only lose; the loss is O(tick · m).
         let q = 64u32;
-        let t = small_table(q, 200.0, 1);
+        let dense = small_table(q, 200.0, 1);
+        let served = production(q, 200.0, 1);
         let c = secs(1.0);
         for &u in &[3.0, 5.0, 10.0, 50.0, 100.0, 200.0] {
-            let dp = t.value(1, secs(u));
             let cf = w1_exact(secs(u), c);
-            assert!(
-                dp <= cf + secs(1e-9),
-                "U={u}: grid value {dp} exceeds continuum optimum {cf}"
-            );
             let m = cyclesteal_core::bounds::m1_opt(secs(u), c) as f64;
             let slack = secs((m + 2.0) / q as f64);
-            assert!(
-                dp >= cf - slack,
-                "U={u}: grid value {dp} too far below optimum {cf} (slack {slack})"
-            );
-        }
-    }
-
-    #[test]
-    fn all_inner_loops_agree_on_values() {
-        let solve = |inner| ValueTable::solve(secs(1.0), 6, secs(80.0), 3, with_inner(inner));
-        let sweep = solve(InnerLoop::FrontierSweep);
-        let bisect = solve(InnerLoop::Bisection);
-        let scan = solve(InnerLoop::LinearScan);
-        for p in 0..=3u32 {
-            for l in 0..=sweep.max_ticks() {
-                assert_eq!(
-                    sweep.value_ticks(p, l),
-                    bisect.value_ticks(p, l),
-                    "sweep vs bisection at p={p}, l={l}"
+            for (name, dp) in [
+                ("dense", dense.value(1, secs(u))),
+                ("production", served.value(1, secs(u))),
+            ] {
+                assert!(
+                    dp <= cf + secs(1e-9),
+                    "{name} U={u}: grid value {dp} exceeds continuum optimum {cf}"
                 );
-                assert_eq!(
-                    sweep.value_ticks(p, l),
-                    scan.value_ticks(p, l),
-                    "sweep vs linear scan at p={p}, l={l}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sweep_and_bisection_agree_on_argmax() {
-        // Not just values: the crossing and its tie-breaks are identical,
-        // so the induced policies coincide state by state.
-        let sweep = ValueTable::solve(
-            secs(1.0),
-            7,
-            secs(90.0),
-            3,
-            with_inner(InnerLoop::FrontierSweep),
-        );
-        let bisect = ValueTable::solve(
-            secs(1.0),
-            7,
-            secs(90.0),
-            3,
-            with_inner(InnerLoop::Bisection),
-        );
-        for p in 0..=3u32 {
-            for l in 1..=sweep.max_ticks() {
-                assert_eq!(
-                    sweep.first_period_ticks(p, l),
-                    bisect.first_period_ticks(p, l),
-                    "argmax mismatch at p={p}, l={l}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn brute_force_full_range_cross_check() {
-        // Reference implementation maximizing over ALL t ∈ [1, l] — no
-        // wait-candidate shortcut, no productivity restriction.
-        let q = 4i64;
-        let n = 60i64;
-        let mut ref_levels: Vec<Vec<i64>> = Vec::new();
-        ref_levels.push((0..=n).map(|l| (l - q).max(0)).collect());
-        for p in 1..=3usize {
-            let mut cur = vec![0i64; (n + 1) as usize];
-            for l in 1..=n {
-                let mut best = 0;
-                for t in 1..=l {
-                    let a = ref_levels[p - 1][(l - t) as usize];
-                    let b = (t - q).max(0) + cur[(l - t) as usize];
-                    best = best.max(a.min(b));
-                }
-                cur[l as usize] = best;
-            }
-            ref_levels.push(cur);
-        }
-
-        let t = ValueTable::solve(
-            secs(1.0),
-            q as u32,
-            secs(n as f64 / q as f64),
-            3,
-            SolveOptions::default(),
-        );
-        for p in 0..=3u32 {
-            for l in 0..=n {
-                assert_eq!(
-                    t.value_ticks(p, l),
-                    ref_levels[p as usize][l as usize],
-                    "solver differs from brute force at p={p}, l={l}"
+                assert!(
+                    dp >= cf - slack,
+                    "{name} U={u}: grid value {dp} too far below optimum {cf} (slack {slack})"
                 );
             }
         }

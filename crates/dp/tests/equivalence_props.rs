@@ -1,80 +1,58 @@
-//! Equivalence property tests: the seven solver paths — dense frontier
-//! sweep, dense bisection, dense linear scan, the tick-walking
-//! breakpoint-compressed table, the event-driven (run-skipping)
-//! compressed build, the intra-level *parallel* dense solve
-//! (anchor-segmented sweeps, `threads: 0` so the CI
-//! `CYCLESTEAL_THREADS` matrix drives the worker count), and the
-//! **run-backed** event-driven build (`RowRepr::Runs`: second-order
-//! arithmetic-run skeletons) — must agree on values *and* on the
-//! episodes their argmax induces, over randomized `(q, L, p)` grids and
-//! at the documented edges (`t ≤ Q` wait domination, `L ∈ {0, 1}`,
-//! single-breakpoint rows, all-flat tails).
+//! Equivalence property tests: the two builds — the event-driven
+//! production table ([`CompressedTable`]) and the dense frontier sweep
+//! ([`ValueTable`]) — against the brute-force oracle of `support`, over
+//! randomized `(q, L, p)` grids and at the documented edges (`t ≤ Q`
+//! wait domination, `L ∈ {0, 1}`, single-breakpoint rows, all-flat
+//! tails). Both tables must equal the oracle at every state, and both
+//! tables' first periods must attain the oracle's maximum. The two
+//! builds also share one crossing rule, so their argmax — and hence the
+//! episodes they reconstruct — must be bit-identical to each other.
+
+mod support;
 
 use cyclesteal_core::prelude::*;
-use cyclesteal_dp::{CompressedTable, InnerLoop, RowRepr, SolveOptions, ValueTable};
+use cyclesteal_dp::{expand_value_runs, CompressedTable, SolveOptions, ValueTable};
 use proptest::prelude::*;
+use support::Oracle;
 
-fn solve(q: u32, max_u: f64, p: u32, inner: InnerLoop) -> ValueTable {
-    ValueTable::solve(
-        secs(1.0),
-        q,
-        secs(max_u),
-        p,
-        SolveOptions {
-            inner,
-            ..SolveOptions::default()
-        },
-    )
+fn dense(q: u32, max_u: f64, p: u32) -> ValueTable {
+    ValueTable::solve(secs(1.0), q, secs(max_u), p, SolveOptions::default())
 }
 
-/// The sixth path: the intra-level segmented parallel solve. `threads: 0`
-/// resolves through `CYCLESTEAL_THREADS`/available parallelism, so the CI
-/// thread matrix exercises real multi-worker splits; small tables
-/// degenerate to a single segment, which is part of the contract.
-fn solve_parallel(q: u32, max_u: f64, p: u32) -> ValueTable {
-    ValueTable::solve(
-        secs(1.0),
-        q,
-        secs(max_u),
-        p,
-        SolveOptions {
-            threads: 0,
-            ..SolveOptions::default()
-        },
-    )
+fn production(q: u32, max_u: f64, p: u32) -> CompressedTable {
+    CompressedTable::solve(secs(1.0), q, secs(max_u), p)
 }
 
-fn solve_event(q: u32, max_u: f64, p: u32) -> CompressedTable {
-    CompressedTable::solve_with(
-        secs(1.0),
-        q,
-        secs(max_u),
-        p,
-        SolveOptions {
-            keep_policy: false,
-            inner: InnerLoop::EventDriven,
-            ..SolveOptions::default()
-        },
-    )
+/// The dense table, the production table and the oracle on one grid,
+/// after checking they cover the same lifespans.
+fn solve_all(q: u32, max_u: f64, p: u32) -> (ValueTable, CompressedTable, Oracle) {
+    let d = dense(q, max_u, p);
+    let c = production(q, max_u, p);
+    assert_eq!(d.max_ticks(), c.max_ticks(), "q={q} U={max_u}");
+    let o = Oracle::solve(q, d.max_ticks(), p);
+    (d, c, o)
 }
 
-/// The seventh path: the event-driven build emitting **run-backed** rows
-/// (`RowRepr::Runs`) — second-order compression both *read* by the
-/// builder (each level's prev-cursor walks arithmetic runs) and *stored*
-/// in the finished table.
-fn solve_runs(q: u32, max_u: f64, p: u32) -> CompressedTable {
-    CompressedTable::solve_with(
-        secs(1.0),
-        q,
-        secs(max_u),
-        p,
-        SolveOptions {
-            keep_policy: false,
-            inner: InnerLoop::EventDriven,
-            repr: RowRepr::Runs,
-            ..SolveOptions::default()
-        },
-    )
+/// Values of both tables equal the oracle at every state.
+fn check_values(d: &ValueTable, c: &CompressedTable, o: &Oracle) {
+    o.check_values("dense sweep", |p, l| d.value_ticks(p, l));
+    o.check_values("production", |p, l| c.value_ticks(p, l));
+}
+
+/// Both tables' first periods attain the oracle's maximum, and the two
+/// tables agree on them exactly.
+fn check_argmax(d: &ValueTable, c: &CompressedTable, o: &Oracle) {
+    o.check_argmax("dense sweep", |p, l| d.first_period_ticks(p, l));
+    o.check_argmax("production", |p, l| c.first_period_ticks(p, l));
+    for p in 0..=o.max_interrupts() {
+        for l in 1..=o.max_ticks() {
+            assert_eq!(
+                d.first_period_ticks(p, l),
+                c.first_period_ticks(p, l),
+                "dense and production argmax differ at p={p}, l={l}"
+            );
+        }
+    }
 }
 
 /// Worst-case value an episode schedule actually realizes at `(p, u)`,
@@ -87,73 +65,23 @@ fn realized(table: &ValueTable, p: u32, u: f64, sched: &EpisodeSchedule) -> Work
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// All seven representations produce identical values at every state.
+    /// Dense and production values equal the oracle at every state.
     #[test]
     fn values_agree_everywhere(q in 2u32..12, max_u in 1.0f64..60.0, p in 0u32..4) {
-        let sweep = solve(q, max_u, p, InnerLoop::FrontierSweep);
-        let bisect = solve(q, max_u, p, InnerLoop::Bisection);
-        let scan = solve(q, max_u, p, InnerLoop::LinearScan);
-        let compressed = CompressedTable::solve(secs(1.0), q, secs(max_u), p);
-        let event = solve_event(q, max_u, p);
-        let par = solve_parallel(q, max_u, p);
-        let runs = solve_runs(q, max_u, p);
-        prop_assert_eq!(sweep.max_ticks(), compressed.max_ticks());
-        prop_assert_eq!(sweep.max_ticks(), event.max_ticks());
-        prop_assert_eq!(sweep.max_ticks(), par.max_ticks());
-        prop_assert_eq!(sweep.max_ticks(), runs.max_ticks());
-        for pp in 0..=p {
-            // Run compression is lossless: same logical breakpoints.
-            prop_assert_eq!(runs.breakpoints(pp), event.breakpoints(pp),
-                "run-backed logical breakpoints differ at q={}, p={}", q, pp);
-            for l in 0..=sweep.max_ticks() {
-                let w = sweep.value_ticks(pp, l);
-                prop_assert_eq!(w, bisect.value_ticks(pp, l),
-                    "bisection differs at q={}, p={}, l={}", q, pp, l);
-                prop_assert_eq!(w, scan.value_ticks(pp, l),
-                    "linear scan differs at q={}, p={}, l={}", q, pp, l);
-                prop_assert_eq!(w, compressed.value_ticks(pp, l),
-                    "compressed differs at q={}, p={}, l={}", q, pp, l);
-                prop_assert_eq!(w, event.value_ticks(pp, l),
-                    "event-driven differs at q={}, p={}, l={}", q, pp, l);
-                prop_assert_eq!(w, par.value_ticks(pp, l),
-                    "parallel sweep differs at q={}, p={}, l={}", q, pp, l);
-                prop_assert_eq!(w, runs.value_ticks(pp, l),
-                    "run-backed differs at q={}, p={}, l={}", q, pp, l);
-            }
-        }
+        let (d, c, o) = solve_all(q, max_u, p);
+        check_values(&d, &c, &o);
     }
 
-    /// Sweep, bisection and the compressed query-time policy share one
-    /// crossing rule: their argmax — and hence their reconstructed
-    /// episodes — are bit-identical.
+    /// Dense and production first periods attain the oracle's maximum
+    /// and coincide state by state.
     #[test]
     fn crossing_argmax_is_identical(q in 2u32..12, max_u in 1.0f64..60.0, p in 0u32..4) {
-        let sweep = solve(q, max_u, p, InnerLoop::FrontierSweep);
-        let bisect = solve(q, max_u, p, InnerLoop::Bisection);
-        let compressed = CompressedTable::solve(secs(1.0), q, secs(max_u), p);
-        let event = solve_event(q, max_u, p);
-        let par = solve_parallel(q, max_u, p);
-        let runs = solve_runs(q, max_u, p);
-        for pp in 0..=p {
-            for l in 1..=sweep.max_ticks() {
-                let t = sweep.first_period_ticks(pp, l);
-                prop_assert_eq!(t, bisect.first_period_ticks(pp, l),
-                    "bisection argmax differs at q={}, p={}, l={}", q, pp, l);
-                prop_assert_eq!(t, compressed.first_period_ticks(pp, l),
-                    "compressed argmax differs at q={}, p={}, l={}", q, pp, l);
-                prop_assert_eq!(t, event.first_period_ticks(pp, l),
-                    "event-driven argmax differs at q={}, p={}, l={}", q, pp, l);
-                prop_assert_eq!(t, par.first_period_ticks(pp, l),
-                    "parallel-sweep argmax differs at q={}, p={}, l={}", q, pp, l);
-                prop_assert_eq!(t, runs.first_period_ticks(pp, l),
-                    "run-backed argmax differs at q={}, p={}, l={}", q, pp, l);
-            }
-        }
+        let (d, c, o) = solve_all(q, max_u, p);
+        check_argmax(&d, &c, &o);
     }
 
-    /// The linear scan may break argmax ties differently (it keeps the
-    /// smallest maximizer), but the episode it induces realizes exactly
-    /// the same guaranteed work as the sweep's.
+    /// Reconstructed episodes are bit-identical between the dense and
+    /// production tables, and realize the value the tables claim.
     #[test]
     fn episode_outputs_are_equivalent(
         q in 4u32..10,
@@ -161,84 +89,55 @@ proptest! {
         p in 1u32..3,
         frac in 0.3f64..1.0,
     ) {
-        let sweep = solve(q, max_u, p, InnerLoop::FrontierSweep);
-        let scan = solve(q, max_u, p, InnerLoop::LinearScan);
-        let compressed = CompressedTable::solve(secs(1.0), q, secs(max_u), p);
-        let event = solve_event(q, max_u, p);
-        let par = solve_parallel(q, max_u, p);
-        let runs = solve_runs(q, max_u, p);
+        let (d, c, o) = solve_all(q, max_u, p);
         let u = max_u * frac;
-        if sweep.value(p, secs(u)) > Work::ZERO {
-            let es = sweep.episode(p, secs(u)).unwrap();
-            let el = scan.episode(p, secs(u)).unwrap();
-            let ec = compressed.episode(p, secs(u)).unwrap();
-            let ee = event.episode(p, secs(u)).unwrap();
-            let ep = par.episode(p, secs(u)).unwrap();
-            let er = runs.episode(p, secs(u)).unwrap();
-            // Compressed, event-driven, parallel and run-backed
-            // reconstructions are bit-identical to the sweep's.
-            prop_assert_eq!(es.len(), ec.len());
-            prop_assert_eq!(es.len(), ee.len());
-            prop_assert_eq!(es.len(), ep.len());
-            prop_assert_eq!(es.len(), er.len());
-            for k in 0..es.len() {
-                prop_assert_eq!(es.period(k), ec.period(k), "period {} differs", k);
-                prop_assert_eq!(es.period(k), ee.period(k), "event period {} differs", k);
-                prop_assert_eq!(es.period(k), ep.period(k), "parallel period {} differs", k);
-                prop_assert_eq!(es.period(k), er.period(k), "run-backed period {} differs", k);
+        if d.value(p, secs(u)) > Work::ZERO {
+            let ed = d.episode(p, secs(u)).unwrap();
+            let ec = c.episode(p, secs(u)).unwrap();
+            prop_assert_eq!(ed.len(), ec.len());
+            for k in 0..ed.len() {
+                prop_assert_eq!(ed.period(k), ec.period(k), "period {} differs", k);
             }
-            // The scan's episode may differ in shape but not in what it
-            // guarantees (a tick of tolerance for off-grid drift).
+            // The episode realizes the claimed table value (a tick of
+            // tolerance per side for off-grid drift), and the claim is
+            // the oracle's at the quantized lifespan.
             let tick = secs(1.0 / q as f64);
-            let vs = realized(&sweep, p, u, &es);
-            let vl = realized(&sweep, p, u, &el);
-            prop_assert!((vs - vl).abs() <= tick,
-                "episodes realize different values: sweep {} vs scan {}", vs, vl);
-            // And both realize the claimed table value.
-            let claimed = sweep.value(p, secs(u));
-            prop_assert!((vs - claimed).abs() <= tick * 2.0,
-                "sweep episode realizes {} but table claims {}", vs, claimed);
+            let claimed = d.value(p, secs(u));
+            let vd = realized(&d, p, u, &ed);
+            prop_assert!((vd - claimed).abs() <= tick * 2.0,
+                "episode realizes {} but table claims {}", vd, claimed);
+            let l = d.grid().to_ticks(secs(u)).min(d.max_ticks());
+            prop_assert_eq!(c.value_ticks(p, l), o.value(p, l));
         }
     }
 
-    /// Wait-domination edge: just above the zero region every solver
+    /// Wait-domination edge: just above the zero region every table
     /// agrees the optimum is positive, and below it everything is zero
     /// with the burn-it-all argmax.
     #[test]
     fn wait_domination_edge(q in 2u32..10, p in 1u32..4) {
         // Cover exactly the interesting band around (p+1)·Q ticks.
         let max_u = (p as f64 + 1.0) * 2.0 + 1.0;
-        let sweep = solve(q, max_u, p, InnerLoop::FrontierSweep);
-        let scan = solve(q, max_u, p, InnerLoop::LinearScan);
-        let compressed = CompressedTable::solve(secs(1.0), q, secs(max_u), p);
-        let event = solve_event(q, max_u, p);
-        let par = solve_parallel(q, max_u, p);
-        let runs = solve_runs(q, max_u, p);
+        let (d, c, o) = solve_all(q, max_u, p);
         let qq = q as i64;
         let zero_edge = (p as i64 + 1) * qq;
-        for l in 0..=sweep.max_ticks() {
-            let w = sweep.value_ticks(p, l);
-            prop_assert_eq!(w, scan.value_ticks(p, l));
-            prop_assert_eq!(w, compressed.value_ticks(p, l));
-            prop_assert_eq!(w, event.value_ticks(p, l));
-            prop_assert_eq!(w, par.value_ticks(p, l));
-            prop_assert_eq!(w, runs.value_ticks(p, l));
+        for l in 0..=d.max_ticks() {
+            let w = o.value(p, l);
+            prop_assert_eq!(w, d.value_ticks(p, l));
+            prop_assert_eq!(w, c.value_ticks(p, l));
             if l <= zero_edge {
                 prop_assert_eq!(w, 0, "W^{}[{}] must be 0 (≤ (p+1)Q)", p, l);
                 if l >= 1 {
                     // Zero states burn the lifespan in one period — in
-                    // every representation.
-                    prop_assert_eq!(sweep.first_period_ticks(p, l), l);
-                    prop_assert_eq!(compressed.first_period_ticks(p, l), l);
-                    prop_assert_eq!(event.first_period_ticks(p, l), l);
-                    prop_assert_eq!(par.first_period_ticks(p, l), l);
-                    prop_assert_eq!(runs.first_period_ticks(p, l), l);
+                    // both tables.
+                    prop_assert_eq!(d.first_period_ticks(p, l), l);
+                    prop_assert_eq!(c.first_period_ticks(p, l), l);
                 }
             }
         }
         let above = (p as i64 + 1) * (qq + 1);
-        if above <= sweep.max_ticks() {
-            prop_assert!(sweep.value_ticks(p, above) >= 1);
+        if above <= d.max_ticks() {
+            prop_assert!(o.value(p, above) >= 1);
         }
     }
 }
@@ -248,40 +147,25 @@ fn boundary_lifespans_zero_and_one_tick() {
     for q in [1u32, 2, 8] {
         for p in 0..=2u32 {
             // L = 0 ticks.
-            let sweep = solve(q, 0.0, p, InnerLoop::FrontierSweep);
-            let scan = solve(q, 0.0, p, InnerLoop::LinearScan);
-            let compressed = CompressedTable::solve(secs(1.0), q, secs(0.0), p);
-            let event = solve_event(q, 0.0, p);
-            let runs = solve_runs(q, 0.0, p);
-            assert_eq!(sweep.max_ticks(), 0);
-            assert_eq!(event.max_ticks(), 0);
-            assert_eq!(runs.max_ticks(), 0);
-            assert_eq!(sweep.value_ticks(p, 0), 0);
-            assert_eq!(scan.value_ticks(p, 0), 0);
-            assert_eq!(compressed.value_ticks(p, 0), 0);
-            assert_eq!(event.value_ticks(p, 0), 0);
-            assert_eq!(runs.value_ticks(p, 0), 0);
-            assert!(sweep.episode(p, secs(0.0)).is_err());
-            assert!(compressed.episode(p, secs(0.0)).is_err());
-            assert!(event.episode(p, secs(0.0)).is_err());
-            assert!(runs.episode(p, secs(0.0)).is_err());
+            let (d, c, o) = solve_all(q, 0.0, p);
+            assert_eq!(d.max_ticks(), 0);
+            check_values(&d, &c, &o);
+            assert!(d.episode(p, secs(0.0)).is_err());
+            assert!(c.episode(p, secs(0.0)).is_err());
 
             // L = 1 tick.
             let u1 = 1.0 / q as f64;
-            let sweep = solve(q, u1, p, InnerLoop::FrontierSweep);
-            let bisect = solve(q, u1, p, InnerLoop::Bisection);
-            let compressed = CompressedTable::solve(secs(1.0), q, secs(u1), p);
-            let event = solve_event(q, u1, p);
-            let runs = solve_runs(q, u1, p);
-            assert_eq!(sweep.max_ticks(), 1);
+            let (d, c, o) = solve_all(q, u1, p);
+            assert_eq!(d.max_ticks(), 1);
+            check_values(&d, &c, &o);
+            check_argmax(&d, &c, &o);
             // W^(p)(1 tick) = 1 ⊖ Q = 0 for every Q ≥ 1 and every p.
-            let w = sweep.value_ticks(p, 1);
-            assert_eq!(w, bisect.value_ticks(p, 1));
-            assert_eq!(w, compressed.value_ticks(p, 1));
-            assert_eq!(w, event.value_ticks(p, 1));
-            assert_eq!(w, runs.value_ticks(p, 1));
-            assert_eq!(w, 0, "one tick can never out-bank the setup charge");
-            let e = sweep.episode(p, secs(u1)).unwrap();
+            assert_eq!(
+                o.value(p, 1),
+                0,
+                "one tick can never out-bank the setup charge"
+            );
+            let e = c.episode(p, secs(u1)).unwrap();
             assert_eq!(e.len(), 1, "zero-value state burns the lifespan whole");
         }
     }
@@ -309,87 +193,80 @@ fn single_breakpoint_rows_and_all_flat_tails() {
                 if n < 0 {
                     continue;
                 }
-                let u = n as f64 / q as f64;
-                let sweep = solve(q, u, p, InnerLoop::FrontierSweep);
-                let event = solve_event(q, u, p);
-                let runs = solve_runs(q, u, p);
-                assert_eq!(sweep.max_ticks(), event.max_ticks(), "q={q} p={p} n={n}");
-                assert_eq!(sweep.max_ticks(), runs.max_ticks(), "q={q} p={p} n={n}");
-                for pp in 0..=p {
-                    for l in 0..=sweep.max_ticks() {
-                        assert_eq!(
-                            sweep.value_ticks(pp, l),
-                            event.value_ticks(pp, l),
-                            "q={q} p={pp} l={l} (n={n})"
-                        );
-                        assert_eq!(
-                            sweep.value_ticks(pp, l),
-                            runs.value_ticks(pp, l),
-                            "run-backed q={q} p={pp} l={l} (n={n})"
-                        );
-                    }
-                }
+                let (d, c, o) = solve_all(q, n as f64 / q as f64, p);
+                assert_eq!(d.max_ticks(), n, "q={q} p={p} n={n}");
+                check_values(&d, &c, &o);
+                check_argmax(&d, &c, &o);
                 // Level 0 compresses to the single zero-edge breakpoint.
-                assert_eq!(event.breakpoints(0), 1, "q={q} n={n}");
-                assert_eq!(runs.stored_breakpoints(0), 1, "q={q} n={n}");
+                assert_eq!(c.breakpoints(0), 1, "q={q} n={n}");
+                assert_eq!(c.stored_breakpoints(0), 1, "q={q} n={n}");
             }
         }
     }
 }
 
 #[test]
-fn event_driven_matches_tick_walk_at_a_million_ticks() {
+fn fixed_grids_match_the_oracle() {
+    // The grids the dense solver's own unit tests used to pin its
+    // inner loops against each other, now pinned against the oracle:
+    // Q = 4 over 60 ticks (the original brute-force cross-check), and
+    // Q = 6 / Q = 7 over 80 / 90 setup charges.
+    for (q, max_u, p) in [(4u32, 15.0, 3u32), (6, 80.0, 3), (7, 90.0, 3)] {
+        let (d, c, o) = solve_all(q, max_u, p);
+        check_values(&d, &c, &o);
+        check_argmax(&d, &c, &o);
+    }
+}
+
+#[test]
+fn event_driven_matches_dense_sweep_at_a_million_ticks() {
     // The deep check behind the acceptance criterion: at 10⁶ ticks the
-    // event build and the tick-walking build agree at *every* lifespan
-    // (equal values everywhere ⇔ identical skeletons), for a mid and a
-    // coarse resolution. The tick walk itself is pinned to the dense
-    // sweep by `matches_dense_values_exactly` and the properties above.
+    // event build and the dense frontier sweep agree at *every* level
+    // and lifespan, for a mid and a coarse resolution. The dense sweep
+    // is itself pinned to the oracle by the properties above.
     for (q, p) in [(8u32, 2u32), (32, 3)] {
         let ticks: i64 = 1_000_000;
         let u = ticks as f64 / q as f64;
-        let walked = CompressedTable::solve(secs(1.0), q, secs(u), p);
-        let event = solve_event(q, u, p);
-        let runs = solve_runs(q, u, p);
-        assert_eq!(walked.max_ticks(), ticks);
-        assert_eq!(event.max_ticks(), ticks);
-        assert_eq!(runs.max_ticks(), ticks);
+        let d = ValueTable::solve(
+            secs(1.0),
+            q,
+            secs(u),
+            p,
+            SolveOptions {
+                keep_policy: false,
+                ..SolveOptions::default()
+            },
+        );
+        let c = production(q, u, p);
+        assert_eq!(d.max_ticks(), ticks);
+        assert_eq!(c.max_ticks(), ticks);
         for pp in 0..=p {
             assert_eq!(
-                walked.breakpoints(pp),
-                event.breakpoints(pp),
-                "breakpoint count differs at q={q}, p={pp}"
-            );
-            assert_eq!(
-                walked.breakpoints(pp),
-                runs.breakpoints(pp),
-                "run-backed logical breakpoint count differs at q={q}, p={pp}"
+                expand_value_runs(&c.value_runs(pp, 0, ticks + 1)),
+                d.row(pp),
+                "row differs at q={q}, p={pp}"
             );
         }
         for l in 0..=ticks {
             assert_eq!(
-                walked.value_ticks(p, l),
-                event.value_ticks(p, l),
+                c.value_ticks(p, l),
+                d.value_ticks(p, l),
                 "value differs at q={q}, l={l}"
-            );
-            assert_eq!(
-                walked.value_ticks(p, l),
-                runs.value_ticks(p, l),
-                "run-backed value differs at q={q}, l={l}"
             );
         }
         // The second-order promise at depth: stored descriptors collapse
-        // by an order of magnitude while answering identically.
-        let flat_k: usize = (0..=p).map(|pp| event.stored_breakpoints(pp)).sum();
-        let run_k: usize = (0..=p).map(|pp| runs.stored_breakpoints(pp)).sum();
+        // by an order of magnitude against the breakpoints they encode,
+        // and the bytes fall below a flat list's 8 per breakpoint.
+        let logical_k: usize = (0..=p).map(|pp| c.breakpoints(pp)).sum();
+        let stored_k: usize = (0..=p).map(|pp| c.stored_breakpoints(pp)).sum();
         assert!(
-            run_k * 5 <= flat_k,
-            "q={q}: run-backed stored {run_k} of {flat_k} descriptors (> 0.2×)"
+            stored_k * 5 <= logical_k,
+            "q={q}: stored {stored_k} descriptors for {logical_k} breakpoints (> 0.2×)"
         );
         assert!(
-            runs.memory_bytes() < event.memory_bytes(),
-            "q={q}: run-backed table not smaller: {} vs {}",
-            runs.memory_bytes(),
-            event.memory_bytes()
+            c.memory_bytes() < logical_k * std::mem::size_of::<i64>(),
+            "q={q}: {} B for {logical_k} breakpoints",
+            c.memory_bytes()
         );
     }
 }
@@ -403,7 +280,7 @@ fn compressed_scales_where_dense_cannot() {
     let q = 8u32;
     let ticks: i64 = 10_000_000;
     let u = ticks as f64 / q as f64;
-    let table = CompressedTable::solve(secs(1.0), q, secs(u), 1);
+    let table = production(q, u, 1);
     assert_eq!(table.max_ticks(), ticks);
     assert!(
         table.memory_bytes() < 1 << 20,

@@ -272,8 +272,8 @@ fn profiling_and_tracing_leave_answers_bit_identical() {
     }
 
     // The cold solves recorded phase timings into the registry. The
-    // cache's default compressed path is event-driven (no tick walk),
-    // so `event_loop` is the phase guaranteed to fire; every phase
+    // cache's compressed path is the event-driven build, so
+    // `event_loop` is the phase guaranteed to fire; every phase
     // series exists either way (registered eagerly), and only observed
     // phases count.
     let samples = parse_exposition(&instrumented.metrics_text());

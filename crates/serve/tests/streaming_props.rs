@@ -2,15 +2,15 @@
 //!
 //! The contract under test: a sweep answered as arithmetic-run
 //! descriptors and expanded client-side is **bit-identical** to asking
-//! the non-streaming op-1 path for every tick of the window — under
-//! both row representations — and a damaged response can only ever
+//! the non-streaming op-1 path for every tick of the window, and to the
+//! dense frontier sweep — and a damaged response can only ever
 //! surface as a *detected* transport error (CRC-caught, classified
 //! transient), never as a believed wrong answer:
 //!
 //! * `value_runs` → op-3 codec → `expand_value_runs` reproduces
-//!   `value_ticks` at every covered tick, for [`RowRepr::Breakpoints`]
-//!   and [`RowRepr::Runs`] alike — and the two representations emit
-//!   *identical descriptors*, not merely equal expansions.
+//!   `value_ticks` at every covered tick — and the production table's
+//!   descriptors are *identical* to the canonical ones derived from the
+//!   dense frontier sweep's row, not merely equal expansions.
 //! * The broker's sweep entry matches its own op-1 batch answers bit
 //!   for bit at every tick of the window.
 //! * Truncating the response frame at **every** byte cut is an error —
@@ -21,23 +21,40 @@
 //!   rather than expanded.
 
 use cyclesteal_core::time::secs;
-use cyclesteal_dp::value::{RowRepr, SolveOptions};
-use cyclesteal_dp::{expand_value_runs, CompressedTable, Grid};
+use cyclesteal_dp::value::{SolveOptions, ValueTable};
+use cyclesteal_dp::{expand_value_runs, CompressedTable, Grid, ValueRun};
 use cyclesteal_serve::{wire, Broker, BrokerConfig, GuaranteeQuery, SweepQuery};
 use proptest::prelude::*;
 
-fn solve_repr(q: u32, max_u: f64, p: u32, repr: RowRepr) -> CompressedTable {
-    CompressedTable::solve_with(
-        secs(1.0),
-        q,
-        secs(max_u),
-        p,
-        SolveOptions {
-            keep_policy: false,
-            repr,
-            ..SolveOptions::default()
-        },
-    )
+fn solve(q: u32, max_u: f64, p: u32) -> CompressedTable {
+    CompressedTable::solve(secs(1.0), q, secs(max_u), p)
+}
+
+/// The canonical descriptors of `row[first..first+count]`, derived from
+/// a dense row alone: ticks in the zero region (`W = 0`) have step 0,
+/// every later tick the rise `W(l) − W(l−1)` ∈ {0, 1}, and each maximal
+/// stretch of equal steps is one run. (The first tick past the zero
+/// region always rises, so the zero run never merges with a later flat
+/// stretch.)
+fn dense_runs(row: &[i64], first: i64, count: i64) -> Vec<ValueRun> {
+    let zero_until = row.iter().rposition(|&w| w == 0).unwrap_or(0);
+    let mut runs: Vec<ValueRun> = Vec::new();
+    for l in first as usize..(first + count) as usize {
+        let step = if l <= zero_until {
+            0
+        } else {
+            row[l] - row[l - 1]
+        };
+        match runs.last_mut() {
+            Some(r) if r.step == step => r.len += 1,
+            _ => runs.push(ValueRun {
+                start: row[l],
+                step,
+                len: 1,
+            }),
+        }
+    }
+    runs
 }
 
 /// Maps two unit draws onto a valid `(first_tick, count)` window of a
@@ -52,9 +69,9 @@ fn window(max_ticks: i64, a: f64, b: f64) -> (i64, i64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Descriptors → wire → expansion reproduces the exact staircase
-    /// under both representations, and the representations agree on the
-    /// descriptors themselves.
+    /// Descriptors → wire → expansion reproduces the exact staircase,
+    /// and the descriptors themselves are the canonical ones of the
+    /// dense frontier sweep's row.
     #[test]
     fn streamed_windows_expand_bit_identically(
         q in 2u32..12,
@@ -63,12 +80,12 @@ proptest! {
         a in 0.0f64..1.0,
         b in 0.0f64..1.0,
     ) {
-        let flat = solve_repr(q, max_u, p, RowRepr::Breakpoints);
-        let runs = solve_repr(q, max_u, p, RowRepr::Runs);
-        let (first, count) = window(flat.max_ticks(), a, b);
-        let descriptors = flat.value_runs(p, first, count);
-        prop_assert_eq!(&descriptors, &runs.value_runs(p, first, count),
-            "representations must emit identical descriptors");
+        let table = solve(q, max_u, p);
+        let dense = ValueTable::solve(secs(1.0), q, secs(max_u), p, SolveOptions::default());
+        let (first, count) = window(table.max_ticks(), a, b);
+        let descriptors = table.value_runs(p, first, count);
+        prop_assert_eq!(&descriptors, &dense_runs(dense.row(p), first, count),
+            "production descriptors differ from the dense sweep's");
 
         // Through the real op-3 response codec, frame and all.
         let mut frame = Vec::new();
@@ -78,8 +95,8 @@ proptest! {
         prop_assert_eq!(expanded.len() as i64, count);
         for (j, &v) in expanded.iter().enumerate() {
             let l = first + j as i64;
-            prop_assert_eq!(v, flat.value_ticks(p, l), "tick {}", l);
-            prop_assert_eq!(v, runs.value_ticks(p, l), "tick {} (runs)", l);
+            prop_assert_eq!(v, table.value_ticks(p, l), "tick {}", l);
+            prop_assert_eq!(v, dense.value_ticks(p, l), "tick {} (dense)", l);
         }
     }
 
@@ -94,7 +111,7 @@ proptest! {
         a in 0.0f64..1.0,
         b in 0.0f64..1.0,
     ) {
-        let table = solve_repr(q, max_u, p, RowRepr::Runs);
+        let table = solve(q, max_u, p);
         let (first, count) = window(table.max_ticks(), a, b);
         let mut frame = Vec::new();
         wire::write_frame(&mut frame, &wire::encode_runs(&table.value_runs(p, first, count)))

@@ -23,19 +23,26 @@
 //! truncation and bit corruption are detected per section before any of
 //! the payload is interpreted. The header payload records the grid
 //! (`setup_bits`, `ticks_per_setup`), extent (`max_ticks`,
-//! `max_interrupts`), row representation and build-event counter; each
-//! row payload stores its skeleton **natively** — flat-tick lists as
-//! raw `i64`s, run-backed rows as `(start, step_fx, len, has_residuals)`
-//! descriptors plus the shared residual byte stream, exactly mirroring
-//! [`cyclesteal_dp::snapshot::RowParts`]. Nothing is re-encoded, so
+//! `max_interrupts`), row representation tag and build-event counter;
+//! each row payload stores its skeleton **natively** — `(start, step_fx,
+//! len, has_residuals)` run descriptors plus the shared residual byte
+//! stream, exactly mirroring [`cyclesteal_dp::snapshot::RowParts`]. Nothing is re-encoded, so
 //! `load(save(t))` is **bit-identical** to `t` (structural equality,
 //! pinned by the property suite in `tests/store_props.rs`).
 //!
 //! Decoding is defensive end to end: unknown magic, unsupported
-//! versions, truncated sections, checksum mismatches and structurally
-//! invalid parts (the validation of
+//! versions, truncated sections, checksum mismatches, retired or unknown
+//! tags and structurally invalid parts (the validation of
 //! [`CompressedTable::from_parts`]) all return [`StoreError`] — never a
 //! panic, never a silently wrong table.
+//!
+//! Tables were once also stored as flat tick lists (tag `0`, in the
+//! header and in rows). That form is retired: a header carrying it is
+//! [`StoreError::Malformed`], so a warm start quarantines such a
+//! snapshot and the table re-solves on first use. Run-backed snapshots
+//! from before the retirement stored level 0 as an empty flat list; a
+//! tag-0 row with no ticks therefore still reads as an empty run row,
+//! and any other tag-0 row is [`StoreError::Malformed`].
 //!
 //! ## Cache warm-start
 //!
@@ -75,7 +82,7 @@ pub mod crc;
 use cyclesteal_core::time::Time;
 use cyclesteal_dp::compressed::CompressedTable;
 use cyclesteal_dp::snapshot::{PartsError, RowParts, RunParts, TableParts};
-use cyclesteal_dp::{RowRepr, TableCache};
+use cyclesteal_dp::TableCache;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -91,9 +98,11 @@ pub const FORMAT_VERSION: u32 = 1;
 /// File extension of directory snapshots (`q…-p…-s….cst`).
 pub const SNAPSHOT_EXTENSION: &str = "cst";
 
-/// Row-payload tag: flat-tick list skeleton.
+/// Retired tag of the flat-tick list representation: a typed error in
+/// a header, an empty run row in a row with no ticks (see the crate
+/// docs).
 const TAG_FLATS: u8 = 0;
-/// Row-payload tag: arithmetic-run skeleton.
+/// Header and row tag of the arithmetic-run representation.
 const TAG_RUNS: u8 = 1;
 
 /// Why a snapshot could not be written or read back.
@@ -191,39 +200,22 @@ fn push_section(out: &mut Vec<u8>, payload: &[u8]) {
 
 fn encode_row(row: &RowParts) -> Vec<u8> {
     let mut p = Vec::new();
-    match row {
-        RowParts::Flats { zero_until, flats } => {
-            p.push(TAG_FLATS);
-            push_i64(&mut p, *zero_until);
-            push_u64(&mut p, flats.len() as u64);
-            p.reserve(flats.len() * 8);
-            for &f in flats {
-                push_i64(&mut p, f);
-            }
-        }
-        RowParts::Runs {
-            zero_until,
-            runs,
-            residuals,
-        } => {
-            p.push(TAG_RUNS);
-            push_i64(&mut p, *zero_until);
-            push_u64(&mut p, runs.len() as u64);
-            push_u64(&mut p, residuals.len() as u64);
-            p.reserve(runs.len() * 21 + residuals.len());
-            for r in runs {
-                push_i64(&mut p, r.start);
-                push_i64(&mut p, r.step_fx);
-                push_u32(&mut p, r.len);
-                p.push(u8::from(r.has_residuals));
-            }
-            for &b in residuals {
-                // lint:allow(lossy-cast): two's-complement byte
-                // reinterpret of the i8 residual, inverted by the
-                // matching `as i8` in decode_row
-                p.push(b as u8);
-            }
-        }
+    p.push(TAG_RUNS);
+    push_i64(&mut p, row.zero_until);
+    push_u64(&mut p, row.runs.len() as u64);
+    push_u64(&mut p, row.residuals.len() as u64);
+    p.reserve(row.runs.len() * 21 + row.residuals.len());
+    for r in &row.runs {
+        push_i64(&mut p, r.start);
+        push_i64(&mut p, r.step_fx);
+        push_u32(&mut p, r.len);
+        p.push(u8::from(r.has_residuals));
+    }
+    for &b in &row.residuals {
+        // lint:allow(lossy-cast): two's-complement byte
+        // reinterpret of the i8 residual, inverted by the
+        // matching `as i8` in decode_row
+        p.push(b as u8);
     }
     p
 }
@@ -240,10 +232,7 @@ pub fn to_bytes(table: &CompressedTable) -> Vec<u8> {
     push_u32(&mut header, parts.ticks_per_setup);
     push_u32(&mut header, parts.max_interrupts);
     push_i64(&mut header, parts.max_ticks);
-    header.push(match parts.repr {
-        RowRepr::Breakpoints => TAG_FLATS,
-        RowRepr::Runs => TAG_RUNS,
-    });
+    header.push(TAG_RUNS);
     push_u64(&mut header, parts.events);
     // lint:allow(lossy-cast): the row count is max_interrupts + 1 and
     // max_interrupts is itself a u32 header field two lines up
@@ -328,20 +317,6 @@ fn decode_row(payload: &[u8], level: usize) -> Result<RowParts, StoreError> {
     let tag = r.u8("row tag")?;
     let zero_until = r.i64("row zero_until")?;
     let row = match tag {
-        TAG_FLATS => {
-            let count = r.u64("flat count")? as usize;
-            // The count must match the section exactly: a corrupt count
-            // is caught before any allocation larger than the payload.
-            let bytes = r.take(
-                count.checked_mul(8).ok_or(StoreError::Truncated("flats"))?,
-                "flat ticks",
-            )?;
-            let flats = bytes
-                .chunks_exact(8)
-                .map(|c| i64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-                .collect();
-            RowParts::Flats { zero_until, flats }
-        }
         TAG_RUNS => {
             let run_count = r.u64("run count")? as usize;
             let res_count = r.u64("residual count")? as usize;
@@ -369,12 +344,27 @@ fn decode_row(payload: &[u8], level: usize) -> Result<RowParts, StoreError> {
                 // `as u8` — the same two's-complement byte reinterpret
                 .map(|&b| b as i8)
                 .collect();
-            RowParts::Runs {
+            RowParts {
                 zero_until,
                 runs,
                 residuals,
             }
         }
+        // Run-backed snapshots written before the flat-list form was
+        // retired store level 0 as an empty flat list: that is an empty
+        // run row. A flat list with ticks in it is not.
+        TAG_FLATS => match r.u64("flat count")? {
+            0 => RowParts {
+                zero_until,
+                runs: Vec::new(),
+                residuals: Vec::new(),
+            },
+            count => {
+                return Err(StoreError::Malformed(format!(
+                    "retired flat-list row with {count} ticks at level {level}"
+                )))
+            }
+        },
         other => {
             return Err(StoreError::Malformed(format!(
                 "unknown row tag {other} at level {level}"
@@ -421,11 +411,15 @@ pub fn from_bytes(bytes: &[u8]) -> Result<CompressedTable, StoreError> {
     let ticks_per_setup = h.u32("ticks_per_setup")?;
     let max_interrupts = h.u32("max_interrupts")?;
     let max_ticks = h.i64("max_ticks")?;
-    let repr = match h.u8("repr")? {
-        TAG_FLATS => RowRepr::Breakpoints,
-        TAG_RUNS => RowRepr::Runs,
+    match h.u8("repr")? {
+        TAG_RUNS => {}
+        TAG_FLATS => {
+            return Err(StoreError::Malformed(
+                "retired flat-list repr tag in header".into(),
+            ))
+        }
         other => return Err(StoreError::Malformed(format!("unknown repr tag {other}"))),
-    };
+    }
     let events = h.u64("events")?;
     let row_count = h.u32("row count")?;
     if !h.done() {
@@ -453,7 +447,6 @@ pub fn from_bytes(bytes: &[u8]) -> Result<CompressedTable, StoreError> {
         ticks_per_setup,
         max_ticks,
         max_interrupts,
-        repr,
         events,
         rows,
     })?)
@@ -709,35 +702,81 @@ pub fn evict_hook_to_dir_counting(
 mod tests {
     use super::*;
     use cyclesteal_core::time::secs;
-    use cyclesteal_dp::{InnerLoop, SolveOptions};
 
-    fn table(repr: RowRepr) -> CompressedTable {
-        CompressedTable::solve_with(
-            secs(1.0),
-            8,
-            secs(400.0),
-            3,
-            SolveOptions {
-                keep_policy: false,
-                inner: InnerLoop::EventDriven,
-                repr,
-                ..SolveOptions::default()
-            },
-        )
+    fn table() -> CompressedTable {
+        CompressedTable::solve(secs(1.0), 8, secs(400.0), 3)
+    }
+
+    /// Byte offset of the header payload (after magic, version and the
+    /// header's length prefix) and that payload's length.
+    fn header_span(bytes: &[u8]) -> (usize, usize) {
+        let len = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as usize;
+        (16, len)
+    }
+
+    /// Recomputes the header CRC after a crafted header edit, so the
+    /// decoder gets past the checksum to the field under test.
+    fn reseal_header(bytes: &mut [u8]) {
+        let (at, len) = header_span(bytes);
+        let crc = crc::crc32(&bytes[at..at + len]);
+        bytes[at + len..at + len + 4].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// A snapshot of `t` whose header carries the retired flat-list
+    /// repr tag, checksum intact. The tag byte follows setup (8),
+    /// ticks_per_setup (4), max_interrupts (4) and max_ticks (8).
+    fn retired_tag_bytes(t: &CompressedTable) -> Vec<u8> {
+        let mut bytes = to_bytes(t);
+        let (at, _) = header_span(&bytes);
+        assert_eq!(bytes[at + 24], TAG_RUNS);
+        bytes[at + 24] = TAG_FLATS;
+        reseal_header(&mut bytes);
+        bytes
+    }
+
+    /// `t` in the byte layout written before the flat-list form was
+    /// retired: a runs header, and level 0 stored as an empty tag-0
+    /// flat list with `flat_count` (nominal) ticks, checksums valid.
+    fn legacy_level0_bytes(t: &CompressedTable, flat_count: u64) -> Vec<u8> {
+        let bytes = to_bytes(t);
+        let (at, len) = header_span(&bytes);
+        let row0 = at + len + 4;
+        let row0_len = u32::from_le_bytes([
+            bytes[row0],
+            bytes[row0 + 1],
+            bytes[row0 + 2],
+            bytes[row0 + 3],
+        ]) as usize;
+        let mut payload = vec![TAG_FLATS];
+        push_i64(&mut payload, t.to_parts().rows[0].zero_until);
+        push_u64(&mut payload, flat_count);
+        let mut out = bytes[..row0].to_vec();
+        push_section(&mut out, &payload);
+        out.extend_from_slice(&bytes[row0 + 4 + row0_len + 4..]);
+        out
+    }
+
+    #[test]
+    fn empty_flat_list_rows_load_as_empty_run_rows() {
+        let t = table();
+        assert_eq!(from_bytes(&legacy_level0_bytes(&t, 0)).unwrap(), t);
+        // A flat list that claims ticks is not an empty row.
+        assert!(matches!(
+            from_bytes(&legacy_level0_bytes(&t, 1)),
+            Err(StoreError::Malformed(_))
+        ));
     }
 
     #[test]
     fn bytes_round_trip_bit_identically() {
-        for repr in [RowRepr::Breakpoints, RowRepr::Runs] {
-            let t = table(repr);
-            let back = from_bytes(&to_bytes(&t)).unwrap();
-            assert_eq!(t, back, "round trip at {repr:?}");
-        }
+        let t = table();
+        let back = from_bytes(&to_bytes(&t)).unwrap();
+        assert_eq!(t, back);
     }
 
     #[test]
     fn wrong_magic_and_version_are_rejected() {
-        let bytes = to_bytes(&table(RowRepr::Runs));
+        let bytes = to_bytes(&table());
         let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
         assert!(matches!(from_bytes(&bad), Err(StoreError::BadMagic)));
@@ -755,14 +794,10 @@ mod tests {
         // Single-byte flips are always caught by the CRC; a *crafted*
         // header (NaN setup, CRC recomputed to match) must still come
         // back as Malformed — never reach Time::new's panic.
-        let mut bytes = to_bytes(&table(RowRepr::Runs));
-        // Layout: magic 8 + version 4 + header len 4, then the header
-        // payload (setup bits first), then its CRC.
-        let header_len = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as usize;
+        let mut bytes = to_bytes(&table());
+        // The header payload starts with the setup bits.
         bytes[16..24].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-        let crc = crc::crc32(&bytes[16..16 + header_len]);
-        let crc_at = 16 + header_len;
-        bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+        reseal_header(&mut bytes);
         assert!(matches!(from_bytes(&bytes), Err(StoreError::Malformed(_))));
     }
 
@@ -788,21 +823,55 @@ mod tests {
         assert_eq!(*wa, *a);
         assert_eq!(*wb, *b);
 
-        // A corrupt file is quarantined (renamed `.corrupt`), not fatal.
+        // A snapshot of a third grid in the layout written before the
+        // flat-list form was retired (level 0 an empty flat list) loads.
+        let legacy = CompressedTable::solve(secs(1.5), 12, secs(80.0), 3);
+        std::fs::write(dir.join("legacy.cst"), legacy_level0_bytes(&legacy, 0)).unwrap();
+
+        // Corrupt files are quarantined (renamed `.corrupt`), not fatal:
+        // garbage bytes, and a checksum-valid snapshot of a fourth grid
+        // whose header carries the retired flat-list tag.
         std::fs::write(dir.join("rotten.cst"), b"not a snapshot").unwrap();
+        let retired = CompressedTable::solve(secs(3.0), 16, secs(60.0), 2);
+        std::fs::write(dir.join("retired.cst"), retired_tag_bytes(&retired)).unwrap();
         let partial = TableCache::new();
         let report = partial.warm_from_dir(&dir).unwrap();
-        assert_eq!(report.loaded, 2);
+        assert_eq!(report.loaded, 3);
         assert!(report.skipped.is_empty());
-        assert_eq!(report.quarantined.len(), 1);
-        assert_eq!(report.quarantined[0].0, dir.join("rotten.cst"));
-        assert!(!dir.join("rotten.cst").exists());
-        assert!(dir.join("rotten.cst.corrupt").exists());
+        let mut quarantined: Vec<_> = report.quarantined.iter().collect();
+        quarantined.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(quarantined.len(), 2);
+        assert_eq!(quarantined[0].0, dir.join("retired.cst"));
+        assert!(matches!(quarantined[0].1, StoreError::Malformed(_)));
+        assert_eq!(quarantined[1].0, dir.join("rotten.cst"));
+        for name in ["rotten.cst", "retired.cst"] {
+            assert!(!dir.join(name).exists());
+            assert!(dir.join(format!("{name}.corrupt")).exists());
+        }
+        assert!(dir.join("legacy.cst").exists());
+        let warm_legacy = partial.get_compressed(secs(1.5), 12, secs(80.0), 3);
+        assert_eq!(partial.stats().misses, 0, "the legacy snapshot is a hit");
+        assert_eq!(*warm_legacy, legacy);
+        // The quarantined grid re-solves on its next query, with
+        // bit-identical answers.
+        let resolved = partial.get_compressed(secs(3.0), 16, secs(60.0), 2);
+        assert_eq!(partial.stats().misses, 1);
+        for p in 0..=2u32 {
+            for l in 0..=retired.max_ticks() {
+                assert_eq!(resolved.value_ticks(p, l), retired.value_ticks(p, l));
+                if l > 0 {
+                    assert_eq!(
+                        resolved.first_period_ticks(p, l),
+                        retired.first_period_ticks(p, l)
+                    );
+                }
+            }
+        }
 
         // The quarantined file no longer matches the glob: the next warm
         // start is clean.
         let report = TableCache::new().warm_from_dir(&dir).unwrap();
-        assert_eq!(report.loaded, 2);
+        assert_eq!(report.loaded, 3);
         assert!(report.skipped.is_empty());
         assert!(report.quarantined.is_empty());
 
@@ -839,24 +908,28 @@ mod tests {
     fn save_retries_past_transient_injected_failures() {
         // NOTE: set_save_fault is process-global; this is the only unit
         // test in this crate that arms it, and it disarms before exiting.
+        // Its hooks fire only for this test's path, so saves that other
+        // tests run concurrently neither count nor fail.
         let dir = std::env::temp_dir().join(format!("cyclesteal-retry-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let t = table(RowRepr::Runs);
+        let t = table();
         let path = dir.join(snapshot_file_name(&t));
 
         // Fail the first attempt only: the retry succeeds.
         let calls = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let c = calls.clone();
-        set_save_fault(Some(Box::new(move |_| {
-            c.fetch_add(1, std::sync::atomic::Ordering::Relaxed) == 0
+        let own = path.clone();
+        set_save_fault(Some(Box::new(move |p| {
+            p == own && c.fetch_add(1, std::sync::atomic::Ordering::Relaxed) == 0
         })));
         save(&t, &path).expect("retry rides past one transient failure");
         assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 2);
         assert_eq!(load(&path).unwrap(), t);
 
         // Fail every attempt: the last error surfaces, no temp litter.
-        set_save_fault(Some(Box::new(|_| true)));
+        let own = path.clone();
+        set_save_fault(Some(Box::new(move |p| p == own)));
         assert!(matches!(save(&t, &path), Err(StoreError::Io(_))));
         set_save_fault(None);
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
@@ -880,7 +953,7 @@ mod tests {
 
         let failures = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let hook = evict_hook_to_dir_counting(dir.clone(), failures.clone());
-        let t = Arc::new(table(RowRepr::Runs));
+        let t = Arc::new(table());
         hook(&t); // must not panic
         hook(&t);
         assert_eq!(failures.load(std::sync::atomic::Ordering::Relaxed), 2);
