@@ -15,7 +15,8 @@
 //! `run_compressed_solve_s` and the serving layer's `warm_start_s` and batch tail latency
 //! `serve_p99_us` (lower is better; shared CI runners make these noisy,
 //! so treat a timing failure as a prompt to re-run before believing
-//! it), the broker throughput `serve_qps` and the batch simulator's
+//! it), the broker throughputs `serve_qps`, `serve_qps_64c` and
+//! `serve_qps_multigrid` and the batch simulator's
 //! `sim_episodes_per_s` (**higher** is better — the gate fails on a
 //! drop beyond the threshold), plus the deterministic
 //! structure counters —
@@ -77,11 +78,18 @@ const GATED_KEYS_LOWER: [&str; 7] = [
 /// workload at 64 concurrent client threads — the readiness-loop
 /// concurrency acceptance point (its companion `serve_p99_64c_us` is
 /// an informational stamp; the gated tail latency is `serve_p99_us`);
-/// `sim_episodes_per_s` is the struct-of-arrays batch simulator's
+/// `serve_qps_multigrid` is the same 4-client load with every batch
+/// spanning 8 warm tenant grids — the multi-grid path a single-grid
+/// batch never takes; `sim_episodes_per_s` is the struct-of-arrays batch simulator's
 /// episode throughput at the acceptance point (its companions
 /// `sim_batch_episodes` and `sim_batch_threads` are configuration
 /// stamps, deliberately ungated).
-const GATED_KEYS_HIGHER: [&str; 3] = ["serve_qps", "serve_qps_64c", "sim_episodes_per_s"];
+const GATED_KEYS_HIGHER: [&str; 4] = [
+    "serve_qps",
+    "serve_qps_64c",
+    "serve_qps_multigrid",
+    "sim_episodes_per_s",
+];
 
 /// Floor on `serve_qps_instrumented / serve_qps` within one fresh
 /// snapshot: full observability (per-request tracing + solver phase
@@ -520,6 +528,44 @@ mod tests {
             verdict_for(&results, "serve_qps"),
             Verdict::Ok { .. }
         ));
+    }
+
+    #[test]
+    fn multigrid_throughput_is_new_then_gates_on_drops() {
+        // Against a baseline from before the multi-grid load existed the
+        // field reports as new and never fails ...
+        let before = snapshot(&[("serve_qps", 5_000_000.0)]);
+        let fresh = snapshot(&[
+            ("serve_qps", 5_000_000.0),
+            ("serve_qps_multigrid", 3_000_000.0),
+        ]);
+        let results = compare(&before, &fresh, 0.10);
+        assert!(!has_regression(&results));
+        assert_eq!(
+            verdict_for(&results, "serve_qps_multigrid"),
+            &Verdict::NewField
+        );
+        // ... and once a baseline carries it, a drop past the threshold
+        // fails while a rise improves.
+        let results = compare(
+            &fresh,
+            &snapshot(&[("serve_qps_multigrid", 2_000_000.0)]),
+            0.10,
+        );
+        assert!(matches!(
+            verdict_for(&results, "serve_qps_multigrid"),
+            Verdict::Regression { .. }
+        ));
+        let results = compare(
+            &fresh,
+            &snapshot(&[("serve_qps_multigrid", 4_000_000.0)]),
+            0.10,
+        );
+        assert!(matches!(
+            verdict_for(&results, "serve_qps_multigrid"),
+            Verdict::Improved { .. }
+        ));
+        assert!(!has_regression(&results));
     }
 
     #[test]

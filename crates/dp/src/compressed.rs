@@ -463,6 +463,18 @@ impl CompressedTable {
     /// Value at an arbitrary lifespan by linear interpolation between grid
     /// points; same contract as [`crate::ValueTable::value`].
     pub fn value(&self, p: u32, lifespan: Time) -> Work {
+        self.answer(p, lifespan).0
+    }
+
+    /// Both views of one guarantee query at once: [`Self::value`] at
+    /// `lifespan` and [`Self::value_ticks`] at its nearest grid tick
+    /// (`grid().to_ticks(lifespan)` clamped to `0..=max_ticks`) —
+    /// bit-identical to the two calls, from two row lookups instead of
+    /// three. The interpolation reads ticks `i = floor(x)` and `i + 1`,
+    /// and rounding `x` lands on one of them, so the tick answer is
+    /// always one of the two values already read. Same domain contract
+    /// as [`Self::value`].
+    pub fn answer(&self, p: u32, lifespan: Time) -> (Work, i64) {
         let tick = self.grid.tick().get();
         let x = lifespan.get() / tick;
         assert!(
@@ -470,16 +482,21 @@ impl CompressedTable {
             "lifespan {lifespan} outside solved range {}",
             self.max_lifespan()
         );
+        // The nearest tick: `Grid::to_ticks` rounds the unclamped quotient.
+        let nearest = (x.round() as i64).clamp(0, self.max_ticks);
         let x = x.clamp(0.0, self.max_ticks as f64);
         let i = x.floor() as i64;
         let row = &self.rows[p.min(self.max_interrupts) as usize];
         if i >= self.max_ticks {
-            return Time::new(row.value(self.max_ticks) as f64 * tick);
+            let v = row.value(self.max_ticks);
+            return (Time::new(v as f64 * tick), v);
         }
         let frac = x - i as f64;
-        let lo = row.value(i) as f64;
-        let hi = row.value(i + 1) as f64;
-        Time::new((lo + (hi - lo) * frac) * tick)
+        let lo = row.value(i);
+        let hi = row.value(i + 1);
+        debug_assert!(nearest == i || nearest == i + 1);
+        let value = Time::new((lo as f64 + (hi as f64 - lo as f64) * frac) * tick);
+        (value, if nearest == i { lo } else { hi })
     }
 
     /// The optimal first-period length (in ticks) at state `(p, l)`,

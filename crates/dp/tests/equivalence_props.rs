@@ -55,6 +55,25 @@ fn check_argmax(d: &ValueTable, c: &CompressedTable, o: &Oracle) {
     }
 }
 
+/// `answer` equals the two separate calls it replaces, bit for bit:
+/// `value` at the lifespan, `value_ticks` at its clamped nearest tick.
+/// The compressed `value` is `answer`'s own first half, so the value is
+/// checked against the dense table's independent interpolation.
+fn check_answer(d: &ValueTable, c: &CompressedTable, p: u32, lifespan: Time) {
+    let (value, ticks) = c.answer(p, lifespan);
+    let nearest = c.grid().to_ticks(lifespan).clamp(0, c.max_ticks());
+    assert_eq!(
+        value.get().to_bits(),
+        d.value(p, lifespan).get().to_bits(),
+        "value differs at p={p}, L={lifespan}"
+    );
+    assert_eq!(
+        ticks,
+        c.value_ticks(p, nearest),
+        "value_ticks differs at p={p}, L={lifespan}"
+    );
+}
+
 /// Worst-case value an episode schedule actually realizes at `(p, u)`,
 /// scored by the Table-1 machinery against the exact oracle.
 fn realized(table: &ValueTable, p: u32, u: f64, sched: &EpisodeSchedule) -> Work {
@@ -108,6 +127,24 @@ proptest! {
                 "episode realizes {} but table claims {}", vd, claimed);
             let l = d.grid().to_ticks(secs(u)).min(d.max_ticks());
             prop_assert_eq!(c.value_ticks(p, l), o.value(p, l));
+        }
+    }
+
+    /// `answer` matches `value` + `value_ticks` at random lifespans on
+    /// the seeded grids, at every level and one past the top.
+    #[test]
+    fn answer_matches_value_and_value_ticks(
+        q in 2u32..12,
+        max_u in 1.0f64..60.0,
+        p in 0u32..4,
+        fracs in prop::collection::vec(0.0f64..1.0, 1..32),
+    ) {
+        let (d, c, _) = solve_all(q, max_u, p);
+        let top = c.max_lifespan().get();
+        for frac in fracs {
+            for pp in 0..=p + 1 {
+                check_answer(&d, &c, pp, secs(top * frac));
+            }
         }
     }
 
@@ -297,4 +334,39 @@ fn compressed_scales_where_dense_cannot() {
         dp >= cf - secs((m + 2.0) / q as f64),
         "grid too lossy at U={u}: {dp} vs {cf}"
     );
+}
+
+#[test]
+fn answer_matches_at_the_domain_edges_and_half_ticks() {
+    for q in [1u32, 2, 3, 4, 7, 8] {
+        for (max_u, p) in [(0.0, 1u32), (9.0, 2), (40.0, 3)] {
+            let (d, c, _) = solve_all(q, max_u, p);
+            let tick = c.grid().tick().get();
+            let top = c.max_ticks() as f64;
+            // Budgets up to two past the table's own, which clamp.
+            for pp in 0..=p + 2 {
+                // Within 1e-9 ticks of both ends of the domain.
+                for x in [
+                    -0.9e-9,
+                    -0.5e-9,
+                    0.0,
+                    0.5e-9,
+                    top - 0.5e-9,
+                    top,
+                    top + 0.5e-9,
+                ] {
+                    check_answer(&d, &c, pp, secs(x * tick));
+                }
+                // Exact half-ticks: rounding goes up to `i + 1`.
+                for i in 0..c.max_ticks() {
+                    let lifespan = secs((i as f64 + 0.5) * tick);
+                    check_answer(&d, &c, pp, lifespan);
+                    if q.is_power_of_two() {
+                        // The half-tick is exact in binary here.
+                        assert_eq!(c.answer(pp, lifespan).1, c.value_ticks(pp, i + 1));
+                    }
+                }
+            }
+        }
+    }
 }

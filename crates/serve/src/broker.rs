@@ -1,7 +1,8 @@
 //! The batched guarantee-query broker (see the crate docs for the
 //! serving model). All solve work funnels through one
-//! [`TableCache`] and one [`WorkerPool`]; request threads only group,
-//! look up and format.
+//! [`TableCache`] and one [`WorkerPool`]; request threads group, look
+//! up and format, and a batch whose grids are all cached never leaves
+//! its request thread.
 //!
 //! ## Failure semantics
 //!
@@ -46,11 +47,11 @@ use cyclesteal_dp::{CacheStats, Grid, Phase, PhaseTimings, TableCache, ValueRun}
 use cyclesteal_obs::{Counter, Gauge, Histogram, Registry, SpanRecord};
 use cyclesteal_par::WorkerPool;
 use cyclesteal_store::CacheSnapshotExt;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, RwLock};
 use std::time::Instant;
 
 /// One guarantee query: "how much work is guaranteed at
@@ -198,6 +199,7 @@ struct Shared {
     res: Resilience,
     fair: FairGate,
     obs: ObsHub,
+    tenants: TenantCounters,
 }
 
 /// A tenant is a grid — the `(setup_bits, ticks_per_setup)` every key
@@ -538,6 +540,10 @@ pub struct BrokerStats {
 pub struct Broker {
     shared: Arc<Shared>,
     pool: WorkerPool,
+    /// Resolve jobs handed to `pool` — only batches with two or more
+    /// cold grids pay the hand-off; warm hits never leave the request
+    /// thread.
+    pool_jobs: Counter,
     snapshot_dir: Option<PathBuf>,
     admission: Admission,
     endpoints: parking_lot::Mutex<HashMap<&'static str, Arc<Endpoint>>>,
@@ -593,6 +599,7 @@ impl Broker {
             registry.gauge("cyclesteal_lane_waiters"),
         );
         let inflight_gauge = registry.gauge("cyclesteal_inflight_batches");
+        let pool_jobs = registry.counter("cyclesteal_broker_pool_jobs_total");
         Ok(Broker {
             shared: Arc::new(Shared {
                 cache,
@@ -600,8 +607,10 @@ impl Broker {
                 res,
                 fair,
                 obs,
+                tenants: TenantCounters::default(),
             }),
             pool,
+            pool_jobs,
             snapshot_dir: config.snapshot_dir,
             admission: Admission {
                 inflight: AtomicUsize::new(0),
@@ -659,9 +668,11 @@ impl Broker {
     /// Answers a batch of queries, grouping them per `(setup, Q)` grid,
     /// resolving each grid's covering table once (coalescing with any
     /// concurrent request for the same solve), and answering every
-    /// query by table lookup. Answers are in input order and
-    /// bit-identical to querying the covering `TableCache` table
-    /// directly.
+    /// query by table lookup. Cached grids are answered on the calling
+    /// thread; only cache misses are solved, and only a batch with
+    /// several of them fans out to the worker pool. Answers are in
+    /// input order and bit-identical to querying the covering
+    /// `TableCache` table directly.
     pub fn query_batch(
         &self,
         queries: &[GuaranteeQuery],
@@ -729,54 +740,60 @@ impl Broker {
         let ep = self.endpoint(endpoint);
 
         // Group by grid; each group solves once at the max (p, L) asked
-        // of it — a p_max solve holds every smaller budget exactly. The
-        // per-group query count feeds the per-tenant traffic counters.
-        let mut groups: HashMap<(u64, u32), (GuaranteeQuery, u64)> = HashMap::new();
-        for q in queries {
-            groups
-                .entry((q.setup.get().to_bits(), q.ticks_per_setup))
-                .and_modify(|(g, n)| {
-                    if q.lifespan > g.lifespan {
-                        g.lifespan = q.lifespan;
-                    }
-                    if q.interrupts > g.interrupts {
-                        g.interrupts = q.interrupts;
-                    }
-                    *n += 1;
-                })
-                .or_insert((*q, 1));
-        }
+        // of it — a p_max solve holds every smaller budget exactly.
+        let (groups, group_of) = group_by_grid(queries);
+        self.shared
+            .tenants
+            .record(self.shared.obs.registry(), &groups);
 
-        let group_list: Vec<((u64, u32), GuaranteeQuery)> = groups
-            .into_iter()
-            .map(|(key, (g, n))| {
-                record_tenant_queries(self.shared.obs.registry(), &g, n);
-                (key, g)
+        // Warm hits are answered on this thread: probe every group
+        // inline (a hit is counted there), and hand only the misses to
+        // `resolve` — inline when there is one, across the pool when
+        // there are several.
+        let mut tables: Vec<Option<Arc<CompressedTable>>> = groups
+            .iter()
+            .map(|g| {
+                let c = &g.covering;
+                self.shared.cache.try_get_compressed(
+                    c.setup,
+                    c.ticks_per_setup,
+                    c.lifespan,
+                    c.interrupts,
+                )
             })
             .collect();
-        let tables: Vec<Result<Arc<CompressedTable>, ServeError>> = if group_list.len() <= 1 {
-            // The common case (one grid per batch) resolves inline —
-            // no pool hand-off latency.
-            group_list
-                .iter()
-                .map(|(_, g)| resolve(&self.shared, &ep, g, deadline, 0, trace_id))
-                .collect()
-        } else {
+        let misses: Vec<usize> = (0..groups.len()).filter(|&i| tables[i].is_none()).collect();
+        if let [i] = misses[..] {
+            let table = resolve(
+                &self.shared,
+                &ep,
+                &groups[i].covering,
+                deadline,
+                0,
+                trace_id,
+            )?;
+            tables[i] = Some(table);
+        } else if !misses.is_empty() {
             // Jobs return Results and contain their own panics, so no
             // panic can cross the pool boundary and abort the scatter.
-            let jobs: Vec<_> = group_list
+            let jobs: Vec<_> = misses
                 .iter()
-                .map(|(_, g)| {
+                .map(|&i| {
                     let shared = self.shared.clone();
                     let ep = ep.clone();
-                    let g = *g;
+                    let g = groups[i].covering;
                     move || resolve(&shared, &ep, &g, deadline, 0, trace_id)
                 })
                 .collect();
-            self.pool.scatter(jobs)
-        };
-        let tables: Vec<Arc<CompressedTable>> =
-            tables.into_iter().collect::<Result<Vec<_>, _>>()?;
+            self.pool_jobs.add(jobs.len() as u64);
+            for (&i, table) in misses.iter().zip(self.pool.scatter(jobs)) {
+                tables[i] = Some(table?);
+            }
+        }
+        let tables: Vec<Arc<CompressedTable>> = tables
+            .into_iter()
+            .collect::<Option<_>>()
+            .ok_or_else(|| ServeError::internal("a grid group was left unresolved"))?;
         // The answer contract is "within the deadline or a typed
         // reject", so a solve that finished late still errors — but its
         // table is cached now, which is exactly why the error is
@@ -790,21 +807,13 @@ impl Broker {
                 "answer ready only after the deadline",
             ));
         }
-        let by_group: HashMap<(u64, u32), Arc<CompressedTable>> =
-            group_list.iter().map(|(k, _)| *k).zip(tables).collect();
 
         let answers = queries
             .iter()
-            .map(|q| {
-                let table = &by_group[&(q.setup.get().to_bits(), q.ticks_per_setup)];
-                let ticks = table
-                    .grid()
-                    .to_ticks(q.lifespan)
-                    .clamp(0, table.max_ticks());
-                GuaranteeAnswer {
-                    value: table.value(q.interrupts, q.lifespan),
-                    value_ticks: table.value_ticks(q.interrupts, ticks),
-                }
+            .zip(&group_of)
+            .map(|(q, &g)| {
+                let (value, value_ticks) = tables[g].answer(q.interrupts, q.lifespan);
+                GuaranteeAnswer { value, value_ticks }
             })
             .collect();
         ep.record(queries.len(), start.elapsed().as_micros() as u64);
@@ -866,10 +875,9 @@ impl Broker {
         let covering = sweep_covering_query(sweep)?;
         self.shared.obs.span(trace_id, "broker.admission", t_sweep);
         let ep = self.endpoint(endpoint);
-        record_tenant_queries(
+        self.shared.tenants.record(
             self.shared.obs.registry(),
-            &covering,
-            u64::from(sweep.count),
+            &[Group::new(&covering, u64::from(sweep.count))],
         );
         let table = resolve(&self.shared, &ep, &covering, deadline, 0, trace_id)?;
         if expired(deadline) {
@@ -1011,15 +1019,93 @@ impl Broker {
     }
 }
 
-/// Bumps the per-tenant traffic counter for one resolved group: `n`
-/// queries against the tenant grid `(setup, ticks_per_setup)`. The
-/// label is human-readable (`"<setup>x<Q>"`), and tenant cardinality is
-/// bounded by the distinct grids a deployment actually serves.
-fn record_tenant_queries(registry: &Registry, g: &GuaranteeQuery, n: u64) {
-    let tenant = format!("{}x{}", g.setup.get(), g.ticks_per_setup);
-    registry
-        .counter_with("cyclesteal_tenant_queries_total", &[("tenant", &tenant)])
-        .add(n);
+/// The grid a query belongs to — its tenant.
+fn grid_key(q: &GuaranteeQuery) -> TenantKey {
+    (q.setup.get().to_bits(), q.ticks_per_setup)
+}
+
+/// One tenant grid of a batch: the covering query (the largest `p` and
+/// `L` the batch asks of the grid) and how many queries it answers.
+struct Group {
+    key: TenantKey,
+    covering: GuaranteeQuery,
+    queries: u64,
+}
+
+impl Group {
+    fn new(covering: &GuaranteeQuery, queries: u64) -> Group {
+        Group {
+            key: grid_key(covering),
+            covering: *covering,
+            queries,
+        }
+    }
+}
+
+/// Splits a batch into its grid groups plus, per query, the index of
+/// its group. Sorting query indices by grid keeps the cost at
+/// `O(n log n)` whatever the number of distinct grids, with no hashing;
+/// groups come out in grid-key order.
+fn group_by_grid(queries: &[GuaranteeQuery]) -> (Vec<Group>, Vec<usize>) {
+    let mut order: Vec<usize> = (0..queries.len()).collect();
+    order.sort_unstable_by_key(|&i| grid_key(&queries[i]));
+    let mut groups: Vec<Group> = Vec::new();
+    let mut group_of = vec![0; queries.len()];
+    for i in order {
+        let q = &queries[i];
+        match groups.last_mut() {
+            Some(g) if g.key == grid_key(q) => {
+                g.covering.lifespan = g.covering.lifespan.max(q.lifespan);
+                g.covering.interrupts = g.covering.interrupts.max(q.interrupts);
+                g.queries += 1;
+            }
+            _ => groups.push(Group::new(q, 1)),
+        }
+        group_of[i] = groups.len() - 1;
+    }
+    (groups, group_of)
+}
+
+/// Per-tenant `cyclesteal_tenant_queries_total` handles, resolved from
+/// the registry once per tenant: the registry lookup formats the label
+/// and takes the registry-wide lock, which a batch should not pay per
+/// group. The label is human-readable (`"<setup>x<Q>"`), and tenant
+/// cardinality is bounded by the distinct grids a deployment serves.
+#[derive(Default)]
+struct TenantCounters {
+    handles: RwLock<BTreeMap<TenantKey, Counter>>,
+}
+
+impl TenantCounters {
+    /// Adds each group's query count to its tenant's counter: one read
+    /// lock when every tenant has been seen before.
+    fn record(&self, registry: &Registry, groups: &[Group]) {
+        let mut done = 0;
+        {
+            let handles = self.handles.read().unwrap_or_else(|e| e.into_inner());
+            for g in groups {
+                let Some(counter) = handles.get(&g.key) else {
+                    break;
+                };
+                counter.add(g.queries);
+                done += 1;
+            }
+        }
+        if done == groups.len() {
+            return;
+        }
+        let mut handles = self.handles.write().unwrap_or_else(|e| e.into_inner());
+        for g in &groups[done..] {
+            handles
+                .entry(g.key)
+                .or_insert_with(|| {
+                    let c = &g.covering;
+                    let tenant = format!("{}x{}", c.setup.get(), c.ticks_per_setup);
+                    registry.counter_with("cyclesteal_tenant_queries_total", &[("tenant", &tenant)])
+                })
+                .add(g.queries);
+        }
+    }
 }
 
 /// Largest grid extent (in ticks) one query may demand —
@@ -1358,6 +1444,105 @@ mod tests {
             assert_eq!(
                 answer.value_ticks,
                 direct.value_ticks(query.interrupts, ticks)
+            );
+        }
+    }
+
+    /// Jobs the broker handed to its pool, read through the registry
+    /// series the op-4 exposition renders.
+    fn pool_jobs(broker: &Broker) -> u64 {
+        broker
+            .obs()
+            .registry()
+            .lookup_counter("cyclesteal_broker_pool_jobs_total", &[])
+            .map_or(0, |c| c.get())
+    }
+
+    /// A batch of `per_grid` queries on each of `grids`, with mixed
+    /// `p` and `L` inside every grid.
+    fn multigrid_batch(grids: &[(f64, u32)], per_grid: u32) -> Vec<GuaranteeQuery> {
+        (0..per_grid)
+            .flat_map(|i| {
+                grids.iter().map(move |&(setup, q)| {
+                    self::q(setup, q, 1 + i % 3, setup * f64::from(4 + 3 * i))
+                })
+            })
+            .collect()
+    }
+
+    const GRIDS: [(f64, u32); 8] = [
+        (1.0, 4),
+        (1.0, 8),
+        (2.0, 4),
+        (2.0, 8),
+        (0.5, 6),
+        (3.0, 5),
+        (1.5, 7),
+        (0.25, 3),
+    ];
+
+    #[test]
+    fn warm_multigrid_batches_never_touch_the_pool() {
+        let broker = Broker::new(BrokerConfig::default()).unwrap();
+        let batch = multigrid_batch(&GRIDS, 8);
+        // Warm each grid on its own: one-grid batches resolve inline.
+        for grid in GRIDS {
+            broker.query_batch(&multigrid_batch(&[grid], 8)).unwrap();
+        }
+        let before = broker.stats().cache;
+        assert_eq!(before.misses, GRIDS.len() as u64);
+        let answers = broker.query_batch(&batch).unwrap();
+        assert_eq!(answers.len(), batch.len());
+        let after = broker.stats().cache;
+        assert_eq!(
+            after.hits - before.hits,
+            GRIDS.len() as u64,
+            "one hit per grid"
+        );
+        assert_eq!(after.misses, before.misses, "no solve");
+        assert_eq!(
+            pool_jobs(&broker),
+            0,
+            "warm hits stay on the request thread"
+        );
+    }
+
+    #[test]
+    fn only_cold_grids_are_handed_to_the_pool() {
+        let broker = Broker::new(BrokerConfig::default()).unwrap();
+        let (warm, cold) = GRIDS.split_at(6);
+        broker.query_batch(&multigrid_batch(warm, 8)).unwrap();
+        let jobs_before = pool_jobs(&broker);
+        let before = broker.stats().cache;
+        let batch = multigrid_batch(&GRIDS, 8);
+        let answers = broker.query_batch(&batch).unwrap();
+        let after = broker.stats().cache;
+        assert_eq!(pool_jobs(&broker) - jobs_before, cold.len() as u64);
+        assert_eq!(after.misses - before.misses, cold.len() as u64);
+        assert_eq!(after.hits - before.hits, warm.len() as u64);
+        for (query, answer) in batch.iter().zip(&answers) {
+            let direct = broker.cache().get_compressed(
+                query.setup,
+                query.ticks_per_setup,
+                query.lifespan,
+                query.interrupts,
+            );
+            assert_eq!(
+                answer.value.get().to_bits(),
+                direct
+                    .value(query.interrupts, query.lifespan)
+                    .get()
+                    .to_bits(),
+                "value at {query:?}"
+            );
+            let ticks = direct
+                .grid()
+                .to_ticks(query.lifespan)
+                .clamp(0, direct.max_ticks());
+            assert_eq!(
+                answer.value_ticks,
+                direct.value_ticks(query.interrupts, ticks),
+                "value_ticks at {query:?}"
             );
         }
     }

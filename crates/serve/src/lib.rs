@@ -17,7 +17,11 @@
 //!
 //! * **batching** — a request carries many queries; the broker groups
 //!   them per grid and resolves each grid once, then answers every
-//!   query by lookup;
+//!   query by lookup. Warm hits never leave the request thread: every
+//!   grid is probed in the cache inline, and only the grids that miss
+//!   go on to solve — inline when there is one, across the worker pool
+//!   when there are several (`cyclesteal_broker_pool_jobs_total`
+//!   counts those hand-offs);
 //! * **coalescing** — concurrent requests needing the same
 //!   `(setup, Q, p_max)` solve join a single in-flight solve
 //!   (single-flight) instead of duplicating it, on top of the

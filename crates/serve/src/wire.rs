@@ -170,6 +170,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
+/// Most payload bytes [`read_frame`] reserves before they arrive;
+/// longer payloads grow the buffer as they are read.
+const FRAME_READ_RESERVE: usize = 64 << 10;
+
 /// Reads one frame's payload, verifying its CRC. `Ok(None)` is a clean
 /// EOF *between* frames (the peer hung up); EOF mid-frame is an error,
 /// and a CRC mismatch is the [`CorruptFrame`] marker error.
@@ -198,8 +202,16 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     if len > MAX_FRAME_BYTES {
         return Err(io::Error::new(io::ErrorKind::InvalidData, CorruptFrame));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // The length is unverified until the payload arrives, so the buffer
+    // grows as bytes do: 8 header bytes from a peer cannot make this
+    // side allocate the whole `MAX_FRAME_BYTES` up front.
+    let mut payload = Vec::with_capacity((len as usize).min(FRAME_READ_RESERVE));
+    if r.by_ref().take(u64::from(len)).read_to_end(&mut payload)? < len as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "frame payload cut short",
+        ));
+    }
     if crc32(&payload) != stored_crc {
         return Err(io::Error::new(io::ErrorKind::InvalidData, CorruptFrame));
     }
@@ -769,6 +781,50 @@ mod tests {
         // Classified as wire corruption: an honest peer never sends an
         // impossible length, so it reads as a damaged length byte.
         assert!(is_corrupt_frame(&read_frame(&mut &buf[..]).unwrap_err()));
+    }
+
+    #[test]
+    fn a_claimed_length_is_not_allocated_before_its_bytes_arrive() {
+        /// Serves `data`, then EOF, recording the largest read asked
+        /// of it — an upper bound on the buffer the caller reserved.
+        struct Probe<'a> {
+            data: &'a [u8],
+            largest_read: usize,
+        }
+        impl Read for Probe<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.largest_read = self.largest_read.max(buf.len());
+                self.data.read(buf)
+            }
+        }
+        let mut header = Vec::new();
+        header.extend_from_slice(&MAX_FRAME_BYTES.to_le_bytes());
+        header.extend_from_slice(&0u32.to_le_bytes());
+        let mut probe = Probe {
+            data: &header,
+            largest_read: 0,
+        };
+        let err = read_frame(&mut probe).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(!is_corrupt_frame(&err), "a short read is not corruption");
+        assert!(
+            probe.largest_read <= FRAME_READ_RESERVE,
+            "asked for {} bytes at once",
+            probe.largest_read
+        );
+    }
+
+    #[test]
+    fn payloads_longer_than_the_reserve_still_round_trip() {
+        let payload: Vec<u8> = (0..3 * FRAME_READ_RESERVE + 7).map(|i| i as u8).collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &payload).unwrap();
+        assert_eq!(read_frame(&mut &buf[..]).unwrap().unwrap(), payload);
+        let mut cut = &buf[..buf.len() - 1];
+        assert_eq!(
+            read_frame(&mut cut).unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof
+        );
     }
 
     #[test]
