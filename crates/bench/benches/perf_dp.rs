@@ -108,8 +108,9 @@ fn bench_cached_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("dp_cached_sweep");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(3));
-    // 24 configs, 3 distinct keys: the cache turns 24 solves into 3,
-    // fanned out over the par workers.
+    // 24 configs over 3 budgets × 8 lifespans of one grid: the cache
+    // coalesces them into one compressed solve at the largest budget
+    // and lifespan.
     let configs: Vec<SolveConfig> = (0..24)
         .map(|i| SolveConfig {
             setup: secs(1.0),
@@ -120,7 +121,7 @@ fn bench_cached_sweep(c: &mut Criterion) {
         .collect();
     group.bench_function("solve_many_24cfg_3keys", |b| {
         b.iter(|| {
-            let cache = TableCache::with_options(value_only());
+            let cache = TableCache::new();
             cache.solve_many(black_box(&configs))
         })
     });

@@ -11,18 +11,17 @@
 //! does not re-solve per step, and fans independent configurations out
 //! over `cyclesteal-par` workers in [`TableCache::solve_many`].
 //!
-//! Compressed tables cache alongside dense ones:
-//! [`TableCache::get_compressed`] serves skeleton tables built
-//! event-driven and stored **run-backed** — second-order compression makes
-//! `10^9`-tick lifespans cheap to build *and* cheap to keep resident —
-//! under the same key/headroom/coalescing rules, letting huge-horizon
-//! sweeps share one skeleton the way dense sweeps share one arena.
+//! The cache holds one table type, the production
+//! [`CompressedTable`]: built event-driven and stored **run-backed** —
+//! second-order compression makes `10^9`-tick lifespans cheap to build
+//! *and* cheap to keep resident — so huge-horizon sweeps and small
+//! ones share the same key/headroom/coalescing rules.
 //!
 //! ## Sharding
 //!
 //! Under many-tenant serving traffic one map lock is the contention
-//! point: every warm hit of every tenant funnels through it. The maps
-//! are therefore **sharded by grid key** — `(setup, ticks_per_setup)`
+//! point: every warm hit of every tenant funnels through it. The map
+//! is therefore **sharded by grid key** — `(setup, ticks_per_setup)`
 //! picks a shard deterministically, so every interrupt budget of one
 //! grid lives in one shard (the larger-`p`-serves-smaller fallback
 //! scan never crosses shards) while distinct tenant grids spread over
@@ -38,32 +37,30 @@
 //!
 //! An unbounded cache grows forever under a long-running server's
 //! traffic. [`TableCache::set_memory_budget`] caps the resident bytes
-//! (dense arenas + compressed skeletons together, by each table's own
-//! `memory_bytes` accounting); when an insert pushes the cache past the
-//! budget, least-recently-used entries are **evicted** until it fits
-//! again. Every lookup that serves a table — hit or insert — refreshes
-//! its recency, so sweep working sets stay resident while stale grids
-//! age out. Evicted *compressed* tables are offered to the optional
-//! [`TableCache::set_evict_hook`] callback first (outside the cache
-//! locks), which is how `cyclesteal-serve` snapshots them to disk
-//! before dropping them; dense tables are simply dropped (their arenas
-//! are cheap to re-solve relative to their size). [`CacheStats`]
-//! reports `evictions` and `resident_bytes`. The budget is enforced
-//! strictly: a table larger than the whole budget is still *served* to
-//! its caller (who holds their own `Arc`) but is not retained — so
-//! correctness never depends on the budget, only residency does.
+//! (by each table's own `memory_bytes` accounting); when an insert
+//! pushes the cache past the budget, least-recently-used entries are
+//! **evicted** until it fits again. Every lookup that serves a table —
+//! hit or insert — refreshes its recency, so sweep working sets stay
+//! resident while stale grids age out. Every evicted table is offered
+//! to the optional [`TableCache::set_evict_hook`] callback (outside the
+//! cache locks), which is how `cyclesteal-serve` snapshots it to disk
+//! before dropping it. [`CacheStats`] reports `evictions` and
+//! `resident_bytes`. The budget is enforced strictly: a table larger
+//! than the whole budget is still *served* to its caller (who holds
+//! their own `Arc`) but is not retained — so correctness never depends
+//! on the budget, only residency does.
 //!
 //! The persistence layer (`cyclesteal-store`) restores a cache through
 //! [`TableCache::admit_compressed`] / [`TableCache::compressed_tables`]:
-//! warm-started processes re-admit solved skeletons from disk instead
-//! of paying the solve.
+//! warm-started processes re-admit solved tables from disk instead of
+//! paying the solve.
 //!
 //! The process-wide [`TableCache::global`] instance is what the bench
 //! sweeps and `examples/guarantee_explorer.rs` share.
 
 use crate::compressed::CompressedTable;
-use crate::profile::{PhaseRecorder, PhaseTimings, ProfileSink};
-use crate::value::{SolveOptions, ValueTable};
+use crate::profile::{PhaseRecorder, ProfileSink};
+use crate::value::SolveOptions;
 use cyclesteal_core::time::Time;
 use cyclesteal_obs::Clock;
 use parking_lot::Mutex;
@@ -96,107 +93,12 @@ impl TableKey {
     }
 }
 
-/// What a cached table must expose for the shared cache policy — both
-/// representations answer "how far do I reach", "can I serve this
-/// lifespan" (each table's own `covers`, so the tolerance lives in one
-/// place per type next to its `value()` contract) and "how many bytes
-/// do I hold".
-trait CachedTable {
-    fn max_ticks(&self) -> i64;
-    fn bytes(&self) -> usize;
-    /// Whether the table can answer every query up to `max_lifespan` —
-    /// the same tolerance the `value()` accessors accept, so a cache hit
-    /// can never hand back a table that panics on the requested range.
-    fn covers(&self, max_lifespan: Time) -> bool;
-}
-
-impl CachedTable for ValueTable {
-    fn max_ticks(&self) -> i64 {
-        ValueTable::max_ticks(self)
-    }
-    fn bytes(&self) -> usize {
-        self.memory_bytes()
-    }
-    fn covers(&self, max_lifespan: Time) -> bool {
-        ValueTable::covers(self, max_lifespan)
-    }
-}
-
-impl CachedTable for CompressedTable {
-    fn max_ticks(&self) -> i64 {
-        CompressedTable::max_ticks(self)
-    }
-    fn bytes(&self) -> usize {
-        self.memory_bytes()
-    }
-    fn covers(&self, max_lifespan: Time) -> bool {
-        CompressedTable::covers(self, max_lifespan)
-    }
-}
-
 /// One cached table plus its LRU recency stamp.
-struct Entry<T> {
-    table: Arc<T>,
+struct Entry {
+    table: Arc<CompressedTable>,
     /// Value of the cache's logical clock when the entry last served a
     /// request (or was inserted). Larger = more recently used.
     last_used: u64,
-}
-
-/// The shared lookup policy: the exact key, or any table for the same
-/// `(setup, resolution)` with a *larger* interrupt budget — levels are
-/// solved bottom-up, so a `p_max` table holds every smaller budget
-/// exactly. Serving an entry refreshes its LRU stamp.
-fn peek_map<T: CachedTable>(
-    map: &mut BTreeMap<TableKey, Entry<T>>,
-    key: &TableKey,
-    max_lifespan: Time,
-    clock: &AtomicU64,
-) -> Option<Arc<T>> {
-    let hit_key = match map.get(key) {
-        Some(entry) if entry.table.covers(max_lifespan) => Some(*key),
-        _ => map
-            .iter()
-            .filter(|(k, entry)| {
-                k.setup_bits == key.setup_bits
-                    && k.ticks_per_setup == key.ticks_per_setup
-                    && k.max_interrupts > key.max_interrupts
-                    && entry.table.covers(max_lifespan)
-            })
-            .min_by_key(|(k, _)| k.max_interrupts)
-            .map(|(k, _)| *k),
-    }?;
-    let entry = map.get_mut(&hit_key).expect("key located above");
-    entry.last_used = clock.fetch_add(1, Ordering::Relaxed) + 1;
-    Some(entry.table.clone())
-}
-
-/// The shared insert policy: keep whichever of the cached and offered
-/// table covers more (a racing solver may have beaten us to the key);
-/// either way the surviving entry becomes most recently used.
-fn insert_if_larger<T: CachedTable>(
-    map: &Mutex<BTreeMap<TableKey, Entry<T>>>,
-    key: TableKey,
-    table: Arc<T>,
-    clock: &AtomicU64,
-) -> Arc<T> {
-    let stamp = clock.fetch_add(1, Ordering::Relaxed) + 1;
-    let mut map = map.lock();
-    match map.get_mut(&key) {
-        Some(existing) if existing.table.max_ticks() >= table.max_ticks() => {
-            existing.last_used = stamp;
-            existing.table.clone()
-        }
-        _ => {
-            map.insert(
-                key,
-                Entry {
-                    table: table.clone(),
-                    last_used: stamp,
-                },
-            );
-            table
-        }
-    }
 }
 
 /// One solve request for [`TableCache::solve_many`].
@@ -215,40 +117,35 @@ pub struct SolveConfig {
 /// Hit/miss/eviction counters for observability in sweeps and servers.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CacheStats {
-    /// Queries answered from a cached table (dense or compressed).
+    /// Queries answered from a cached table.
     pub hits: u64,
     /// Queries that triggered (or re-triggered) a solve.
     pub misses: u64,
     /// Entries dropped by the memory budget's LRU eviction.
     pub evictions: u64,
-    /// Distinct `(setup, ticks_per_setup, p_max)` dense entries held.
+    /// Distinct `(setup, ticks_per_setup, p_max)` entries held.
     pub entries: usize,
-    /// Distinct compressed (breakpoint-skeleton) entries held.
-    pub compressed_entries: usize,
-    /// Bytes currently held by all cached tables (dense arenas plus
-    /// compressed skeletons), by each table's own accounting.
+    /// Bytes currently held by all cached tables, by each table's own
+    /// accounting.
     pub resident_bytes: usize,
 }
 
-/// The callback offered every compressed table the memory budget evicts
-/// (see [`TableCache::set_evict_hook`]).
+/// The callback offered every table the memory budget evicts (see
+/// [`TableCache::set_evict_hook`]).
 pub type EvictHook = Box<dyn Fn(&Arc<CompressedTable>) + Send + Sync>;
 
-/// Shard count used by [`TableCache::new`] / [`TableCache::with_options`].
-/// Semantics are shard-count-invariant (see the module docs), so this is
-/// purely a contention knob.
+/// Shard count used by [`TableCache::new`]. Semantics are
+/// shard-count-invariant (see the module docs), so this is purely a
+/// contention knob.
 const DEFAULT_SHARDS: usize = 8;
 
-/// One lock domain of the sharded cache: the dense and compressed maps
-/// for every grid key that hashes here, plus this shard's own
-/// hit/miss/eviction counters (the global [`CacheStats`] is the sum of
-/// these, so the aggregate and the per-shard view can never drift).
-/// Both maps of one shard are independent locks; cross-shard
-/// operations (stats, budget enforcement, clear) acquire shard locks
-/// in index order, dense before compressed within a shard.
+/// One lock domain of the sharded cache: the map for every grid key
+/// that hashes here, plus this shard's own hit/miss/eviction counters
+/// (the global [`CacheStats`] is the sum of these, so the aggregate and
+/// the per-shard view can never drift). Cross-shard operations (stats,
+/// budget enforcement, clear) take the shard locks in index order.
 struct Shard {
-    map: Mutex<BTreeMap<TableKey, Entry<ValueTable>>>,
-    compressed: Mutex<BTreeMap<TableKey, Entry<CompressedTable>>>,
+    map: Mutex<BTreeMap<TableKey, Entry>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -258,12 +155,74 @@ impl Shard {
     fn new() -> Shard {
         Shard {
             map: Mutex::new(BTreeMap::new()),
-            compressed: Mutex::new(BTreeMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
+
+    /// The lookup policy: the exact key, or any table for the same
+    /// `(setup, resolution)` with a *larger* interrupt budget — levels
+    /// are solved bottom-up, so a `p_max` table holds every smaller
+    /// budget exactly. Serving an entry refreshes its LRU stamp.
+    fn peek(
+        &self,
+        key: &TableKey,
+        max_lifespan: Time,
+        clock: &AtomicU64,
+    ) -> Option<Arc<CompressedTable>> {
+        let mut map = self.map.lock();
+        let hit_key = match map.get(key) {
+            Some(entry) if entry.table.covers(max_lifespan) => Some(*key),
+            _ => map
+                .iter()
+                .filter(|(k, entry)| {
+                    k.setup_bits == key.setup_bits
+                        && k.ticks_per_setup == key.ticks_per_setup
+                        && k.max_interrupts > key.max_interrupts
+                        && entry.table.covers(max_lifespan)
+                })
+                .min_by_key(|(k, _)| k.max_interrupts)
+                .map(|(k, _)| *k),
+        }?;
+        let entry = map.get_mut(&hit_key).expect("key located above");
+        entry.last_used = clock.fetch_add(1, Ordering::Relaxed) + 1;
+        Some(entry.table.clone())
+    }
+
+    /// The insert policy: keep whichever of the cached and offered table
+    /// covers more (a racing solver may have beaten us to the key);
+    /// either way the surviving entry becomes most recently used.
+    fn insert_if_larger(
+        &self,
+        key: TableKey,
+        table: Arc<CompressedTable>,
+        clock: &AtomicU64,
+    ) -> Arc<CompressedTable> {
+        let stamp = clock.fetch_add(1, Ordering::Relaxed) + 1;
+        let mut map = self.map.lock();
+        match map.get_mut(&key) {
+            Some(existing) if existing.table.max_ticks() >= table.max_ticks() => {
+                existing.last_used = stamp;
+                existing.table.clone()
+            }
+            _ => {
+                map.insert(
+                    key,
+                    Entry {
+                        table: table.clone(),
+                        last_used: stamp,
+                    },
+                );
+                table
+            }
+        }
+    }
+}
+
+/// Bytes held by one shard's tables, by their own accounting.
+fn map_bytes(map: &BTreeMap<TableKey, Entry>) -> usize {
+    map.values().map(|e| e.table.memory_bytes()).sum()
 }
 
 /// Per-shard slice of [`CacheStats`]: the same counters, attributed to
@@ -281,20 +240,17 @@ pub struct ShardStats {
     pub misses: u64,
     /// Entries evicted from this shard by the global LRU budget.
     pub evictions: u64,
-    /// Dense entries resident in this shard.
+    /// Entries resident in this shard.
     pub entries: usize,
-    /// Compressed entries resident in this shard.
-    pub compressed_entries: usize,
     /// Bytes held by this shard's tables, by their own accounting.
     pub resident_bytes: usize,
 }
 
-/// A concurrent cache of solved [`ValueTable`]s keyed by
+/// A concurrent cache of solved [`CompressedTable`]s keyed by
 /// `(setup, ticks_per_setup, p_max)`, serving all smaller-lifespan
 /// queries from one solve per key, sharded by grid key, with an
 /// optional LRU memory budget enforced globally across shards.
 pub struct TableCache {
-    opts: SolveOptions,
     /// Lifespan headroom multiplier applied on every (re-)solve, so a
     /// sweep creeping upward in `L` amortizes to `O(log L)` solves.
     growth: f64,
@@ -315,7 +271,7 @@ pub struct TableCache {
     /// Injected monotonic clock for phase-profiled solves (see
     /// [`Self::set_profiling`]); `None` means solves run unprofiled.
     profile_clock: Mutex<Option<Arc<dyn Clock>>>,
-    /// Callback offered each profiled solve's [`PhaseTimings`].
+    /// Callback offered each profiled solve's phase timings.
     profile_sink: Mutex<Option<ProfileSink>>,
 }
 
@@ -326,25 +282,18 @@ impl Default for TableCache {
 }
 
 impl TableCache {
-    /// A cache solving with [`SolveOptions::default`] and 25% lifespan
-    /// headroom. Unbounded until [`Self::set_memory_budget`].
+    /// A cache with 25% lifespan headroom and the default shard count.
+    /// Unbounded until [`Self::set_memory_budget`].
     pub fn new() -> TableCache {
-        TableCache::with_options(SolveOptions::default())
+        TableCache::with_shards(DEFAULT_SHARDS)
     }
 
-    /// A cache with explicit solve options (e.g. `keep_policy: false`
-    /// for value-only sweeps) and the default shard count.
-    pub fn with_options(opts: SolveOptions) -> TableCache {
-        TableCache::with_options_sharded(opts, DEFAULT_SHARDS)
-    }
-
-    /// A cache with explicit solve options *and* an explicit shard
-    /// count. Sharding is a contention knob, never a semantics knob:
-    /// stats and the eviction victim sequence are bit-identical at any
-    /// `shards ≥ 1` (clamped up from 0) for a given workload order.
-    pub fn with_options_sharded(opts: SolveOptions, shards: usize) -> TableCache {
+    /// A cache with an explicit shard count. Sharding is a contention
+    /// knob, never a semantics knob: stats and the eviction victim
+    /// sequence are bit-identical at any `shards ≥ 1` (clamped up from
+    /// 0) for a given workload order.
+    pub fn with_shards(shards: usize) -> TableCache {
         TableCache {
-            opts,
             growth: 1.25,
             shards: (0..shards.max(1)).map(|_| Shard::new()).collect(),
             budget: AtomicUsize::new(usize::MAX),
@@ -363,7 +312,7 @@ impl TableCache {
     /// The shard owning `key`'s grid. Mixes `(setup_bits,
     /// ticks_per_setup)` only, so every interrupt budget of a grid maps
     /// to the same shard and the larger-`p` fallback scan in
-    /// [`peek_map`] never needs to look elsewhere.
+    /// [`Shard::peek`] never needs to look elsewhere.
     fn shard(&self, key: &TableKey) -> &Shard {
         &self.shards[self.shard_index(key.setup_bits, key.ticks_per_setup)]
     }
@@ -408,17 +357,16 @@ impl TableCache {
     }
 
     /// Installs (or, with `None`, removes) the callback offered every
-    /// *compressed* table the memory budget evicts — the
-    /// snapshot-on-evict hook of the serving layer. Called outside the
-    /// cache locks, after the entry is already gone from the cache;
-    /// dense tables are evicted without a callback.
+    /// table the memory budget evicts — the snapshot-on-evict hook of
+    /// the serving layer. Called outside the cache locks, after the
+    /// entry is already gone from the cache.
     pub fn set_evict_hook(&self, hook: Option<EvictHook>) {
         *self.evict_hook.lock() = hook;
     }
 
     /// Installs (or, with `None`s, removes) the phase-profiling pair:
     /// a monotonic [`Clock`] and a sink offered each cache-triggered
-    /// solve's [`PhaseTimings`]. With no clock the solver runs
+    /// solve's phase timings. With no clock the solver runs
     /// unprofiled (not even no-op clock reads); with a clock and no
     /// sink phases are timed and discarded. Profiling never changes
     /// solver output — the clock is read only *between* phases — so
@@ -431,101 +379,39 @@ impl TableCache {
         *self.profile_sink.lock() = sink;
     }
 
-    /// Dense solve, phase-profiled when a clock is installed.
-    fn solve_dense(
-        &self,
-        setup: Time,
-        ticks_per_setup: u32,
-        max_lifespan: Time,
-        max_interrupts: u32,
-        opts: SolveOptions,
-    ) -> ValueTable {
-        let clock = self.profile_clock.lock().clone();
-        match clock {
-            None => ValueTable::solve(setup, ticks_per_setup, max_lifespan, max_interrupts, opts),
-            Some(clock) => {
-                let recorder = PhaseRecorder::new(&*clock);
-                let table = ValueTable::solve_profiled(
-                    setup,
-                    ticks_per_setup,
-                    max_lifespan,
-                    max_interrupts,
-                    opts,
-                    &recorder,
-                );
-                self.offer_timings(recorder.timings());
-                table
-            }
-        }
-    }
-
-    /// Compressed solve, phase-profiled when a clock is installed.
-    fn solve_compressed(
+    /// Solves with lifespan headroom, phase-profiled when a clock is
+    /// installed.
+    fn solve(
         &self,
         setup: Time,
         ticks_per_setup: u32,
         max_lifespan: Time,
         max_interrupts: u32,
     ) -> CompressedTable {
+        let max_lifespan = max_lifespan * self.growth;
         let clock = self.profile_clock.lock().clone();
-        match clock {
-            None => CompressedTable::solve(setup, ticks_per_setup, max_lifespan, max_interrupts),
-            Some(clock) => {
-                let recorder = PhaseRecorder::new(&*clock);
-                let table = CompressedTable::solve_profiled(
-                    setup,
-                    ticks_per_setup,
-                    max_lifespan,
-                    max_interrupts,
-                    self.opts,
-                    &recorder,
-                );
-                self.offer_timings(recorder.timings());
-                table
-            }
-        }
-    }
-
-    fn offer_timings(&self, timings: PhaseTimings) {
-        let sink = self.profile_sink.lock();
-        if let Some(sink) = sink.as_ref() {
-            sink(&timings);
-        }
-    }
-
-    /// Returns a table covering `(setup, ticks_per_setup, ≥max_lifespan,
-    /// max_interrupts)`, solving (with lifespan headroom) only when no
-    /// cached table covers the request.
-    pub fn get(
-        &self,
-        setup: Time,
-        ticks_per_setup: u32,
-        max_lifespan: Time,
-        max_interrupts: u32,
-    ) -> Arc<ValueTable> {
-        let key = TableKey::new(setup, ticks_per_setup, max_interrupts);
-        if let Some(table) = self.lookup(&key, max_lifespan) {
-            return table;
-        }
-        self.shard(&key).misses.fetch_add(1, Ordering::Relaxed);
-        // Solve outside the lock: concurrent callers may duplicate work,
-        // but never block each other behind a long solve.
-        let table = Arc::new(self.solve_dense(
+        let Some(clock) = clock else {
+            return CompressedTable::solve(setup, ticks_per_setup, max_lifespan, max_interrupts);
+        };
+        let recorder = PhaseRecorder::new(&*clock);
+        let table = CompressedTable::solve_profiled(
             setup,
             ticks_per_setup,
-            max_lifespan * self.growth,
+            max_lifespan,
             max_interrupts,
-            self.opts,
-        ));
-        let table = insert_if_larger(&self.shard(&key).map, key, table, &self.clock);
-        self.enforce_budget();
+            SolveOptions::default(),
+            &recorder,
+        );
+        if let Some(sink) = self.profile_sink.lock().as_ref() {
+            sink(&recorder.timings());
+        }
         table
     }
 
-    /// Solves all `configs` with one solve per distinct key (at the
-    /// largest requested lifespan), fanned out over `cyclesteal-par`
-    /// workers. Returns one covering table per input config, in input
-    /// order.
+    /// Solves all `configs` with one solve per distinct grid (at the
+    /// largest requested lifespan and interrupt budget), fanned out over
+    /// `cyclesteal-par` workers. Returns one covering table per input
+    /// config, in input order.
     ///
     /// The returned tables are the solver's (or the dedup pass's) own
     /// `Arc`s, **not** re-read from the cache afterwards: cache insertion
@@ -560,22 +446,26 @@ impl TableCache {
     /// let w = tables[1].value(2, secs(80.0));
     /// assert!(w.get() > 0.0);
     /// ```
-    pub fn solve_many(&self, configs: &[SolveConfig]) -> Vec<Arc<ValueTable>> {
+    pub fn solve_many(&self, configs: &[SolveConfig]) -> Vec<Arc<CompressedTable>> {
         // Resolution pass: serve what the cache already covers, coalesce
         // the rest — one pending solve per (setup, resolution), at the
         // max interrupt budget and lifespan requested for that grid (a
         // `p_max` solve materializes every smaller budget, so mixed-p
         // batches need only one solve per grid).
-        let mut results: Vec<Option<Arc<ValueTable>>> = vec![None; configs.len()];
+        let mut results: Vec<Option<Arc<CompressedTable>>> = vec![None; configs.len()];
         let mut pending: BTreeMap<(u64, u32), SolveConfig> = BTreeMap::new();
         let mut waiting: Vec<(usize, (u64, u32))> = Vec::new();
         for (i, cfg) in configs.iter().enumerate() {
-            let key = TableKey::new(cfg.setup, cfg.ticks_per_setup, cfg.max_interrupts);
-            if let Some(table) = self.lookup(&key, cfg.max_lifespan) {
+            if let Some(table) = self.try_get_compressed(
+                cfg.setup,
+                cfg.ticks_per_setup,
+                cfg.max_lifespan,
+                cfg.max_interrupts,
+            ) {
                 results[i] = Some(table);
                 continue;
             }
-            let group = (key.setup_bits, key.ticks_per_setup);
+            let group = (cfg.setup.get().to_bits(), cfg.ticks_per_setup);
             pending
                 .entry(group)
                 .and_modify(|p| {
@@ -607,21 +497,21 @@ impl TableCache {
         }
 
         let solved = cyclesteal_par::par_map(&jobs, |(_, cfg)| {
-            self.solve_dense(
+            self.solve(
                 cfg.setup,
                 cfg.ticks_per_setup,
-                cfg.max_lifespan * self.growth,
+                cfg.max_lifespan,
                 cfg.max_interrupts,
-                self.opts,
             )
         });
-        let mut by_group: BTreeMap<(u64, u32), Arc<ValueTable>> = BTreeMap::new();
+        let mut by_group: BTreeMap<(u64, u32), Arc<CompressedTable>> = BTreeMap::new();
         for ((group, cfg), table) in jobs.into_iter().zip(solved) {
             let key = TableKey::new(cfg.setup, cfg.ticks_per_setup, cfg.max_interrupts);
             let table = Arc::new(table);
             // Best-effort publication; the batch's answers come from the
             // solver output either way.
-            insert_if_larger(&self.shard(&key).map, key, table.clone(), &self.clock);
+            self.shard(&key)
+                .insert_if_larger(key, table.clone(), &self.clock);
             by_group.insert(group, table);
         }
         self.enforce_budget();
@@ -640,15 +530,13 @@ impl TableCache {
             .collect()
     }
 
-    /// Returns a compressed (skeleton) table covering
-    /// `(setup, ticks_per_setup, ≥max_lifespan, max_interrupts)`, built
-    /// event-driven and stored **run-backed** on a miss (second-order
+    /// Returns a table covering `(setup, ticks_per_setup, ≥max_lifespan,
+    /// max_interrupts)`, solving (with lifespan headroom) only when no
+    /// cached table covers the request. A miss builds the table
+    /// event-driven and stores it **run-backed** (second-order
     /// arithmetic-run rows, an order of magnitude fewer stored
-    /// descriptors than breakpoints, bit-identical answers) — the cache
-    /// entry point for huge-horizon
-    /// sweeps (`10^7`–`10^9` ticks) where a dense arena is not an
-    /// option. Same key, headroom and larger-budget-serves-smaller rules
-    /// as [`Self::get`].
+    /// descriptors than breakpoints), so `10^7`–`10^9`-tick sweeps are
+    /// as cheap to keep as small ones.
     pub fn get_compressed(
         &self,
         setup: Time,
@@ -656,20 +544,17 @@ impl TableCache {
         max_lifespan: Time,
         max_interrupts: u32,
     ) -> Arc<CompressedTable> {
-        let key = TableKey::new(setup, ticks_per_setup, max_interrupts);
-        if let Some(table) = self.peek_compressed(&key, max_lifespan) {
-            self.shard(&key).hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(table) =
+            self.try_get_compressed(setup, ticks_per_setup, max_lifespan, max_interrupts)
+        {
             return table;
         }
+        let key = TableKey::new(setup, ticks_per_setup, max_interrupts);
         self.shard(&key).misses.fetch_add(1, Ordering::Relaxed);
-        // Solve outside the lock, like the dense path.
-        let table = Arc::new(self.solve_compressed(
-            setup,
-            ticks_per_setup,
-            max_lifespan * self.growth,
-            max_interrupts,
-        ));
-        let table = insert_if_larger(&self.shard(&key).compressed, key, table, &self.clock);
+        // Solve outside the lock: concurrent callers may duplicate work,
+        // but never block each other behind a long solve.
+        let table = Arc::new(self.solve(setup, ticks_per_setup, max_lifespan, max_interrupts));
+        let table = self.shard(&key).insert_if_larger(key, table, &self.clock);
         self.enforce_budget();
         table
     }
@@ -688,55 +573,45 @@ impl TableCache {
         max_interrupts: u32,
     ) -> Option<Arc<CompressedTable>> {
         let key = TableKey::new(setup, ticks_per_setup, max_interrupts);
-        let found = self.peek_compressed(&key, max_lifespan);
+        let shard = self.shard(&key);
+        let found = shard.peek(&key, max_lifespan, &self.clock);
         if found.is_some() {
-            self.shard(&key).hits.fetch_add(1, Ordering::Relaxed);
+            shard.hits.fetch_add(1, Ordering::Relaxed);
         }
         found
     }
 
-    /// Inserts an externally obtained compressed table — typically one
-    /// deserialized from a snapshot — under its own
-    /// `(setup, resolution, p_max)` key, so later
-    /// [`Self::get_compressed`] calls it covers are hits instead of
-    /// solves. Follows the normal insert policy (the larger-coverage
-    /// table wins a key collision) and the memory budget; counts
-    /// neither a hit nor a miss. Returns the entry that ended up cached
-    /// for the key (the admitted table, unless a larger one was already
-    /// there).
+    /// Inserts an externally obtained table — typically one deserialized
+    /// from a snapshot — under its own `(setup, resolution, p_max)` key,
+    /// so later [`Self::get_compressed`] calls it covers are hits
+    /// instead of solves. Follows the normal insert policy (the
+    /// larger-coverage table wins a key collision) and the memory
+    /// budget; counts neither a hit nor a miss. Returns the entry that
+    /// ended up cached for the key (the admitted table, unless a larger
+    /// one was already there).
     pub fn admit_compressed(&self, table: Arc<CompressedTable>) -> Arc<CompressedTable> {
         let key = TableKey::new(
             table.grid().setup(),
             table.grid().q() as u32,
             table.max_interrupts(),
         );
-        let table = insert_if_larger(&self.shard(&key).compressed, key, table, &self.clock);
+        let table = self.shard(&key).insert_if_larger(key, table, &self.clock);
         self.enforce_budget();
         table
     }
 
-    /// A point-in-time snapshot of every cached compressed table — what
-    /// the persistence layer writes out in
-    /// `snapshot_to_dir`-style sweeps. Does not touch LRU recency or the
-    /// hit/miss counters. Ordered by key (shards are visited in index
-    /// order, keys in map order within a shard).
+    /// A point-in-time snapshot of every cached table — what the
+    /// persistence layer writes out in `snapshot_to_dir`-style sweeps.
+    /// Does not touch LRU recency or the hit/miss counters. Ordered by
+    /// key, whatever the shard count.
     pub fn compressed_tables(&self) -> Vec<Arc<CompressedTable>> {
         let mut tables: Vec<(TableKey, Arc<CompressedTable>)> = Vec::new();
         for shard in &self.shards {
-            let compressed = shard.compressed.lock();
-            tables.extend(compressed.iter().map(|(k, e)| (*k, e.table.clone())));
+            let map = shard.map.lock();
+            tables.extend(map.iter().map(|(k, e)| (*k, e.table.clone())));
         }
         tables.sort_by_key(|(k, _)| *k);
         tables.into_iter().map(|(_, t)| t).collect()
-    }
-
-    fn peek_compressed(&self, key: &TableKey, max_lifespan: Time) -> Option<Arc<CompressedTable>> {
-        peek_map(
-            &mut self.shard(key).compressed.lock(),
-            key,
-            max_lifespan,
-            &self.clock,
-        )
     }
 
     /// Hit/miss/entry counters since construction (or [`Self::clear`]).
@@ -749,36 +624,29 @@ impl TableCache {
             total.misses += s.misses;
             total.evictions += s.evictions;
             total.entries += s.entries;
-            total.compressed_entries += s.compressed_entries;
             total.resident_bytes += s.resident_bytes;
         }
         total
     }
 
     /// Per-shard hit/miss/eviction/residency counters, one entry per
-    /// lock domain in shard-index order, read in a single pass holding
-    /// each shard's locks (shard index order, dense before compressed
-    /// within a shard — the cross-shard lock order used everywhere).
-    /// Counter events are attributed to the shard owning the query's
-    /// grid key, never double-counted globally, so summing this vector
-    /// field-by-field reproduces [`Self::stats`] exactly.
+    /// lock domain in shard-index order, each read under its shard's
+    /// one lock. Counter events are attributed to the shard owning the
+    /// query's grid key, never double-counted globally, so summing this
+    /// vector field-by-field reproduces [`Self::stats`] exactly.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards
             .iter()
             .enumerate()
             .map(|(i, shard)| {
-                // Lock order within a shard: dense before compressed.
                 let map = shard.map.lock();
-                let compressed = shard.compressed.lock();
                 ShardStats {
                     shard: i,
                     hits: shard.hits.load(Ordering::Relaxed),
                     misses: shard.misses.load(Ordering::Relaxed),
                     evictions: shard.evictions.load(Ordering::Relaxed),
                     entries: map.len(),
-                    compressed_entries: compressed.len(),
-                    resident_bytes: map.values().map(|e| e.table.bytes()).sum::<usize>()
-                        + compressed.values().map(|e| e.table.bytes()).sum::<usize>(),
+                    resident_bytes: map_bytes(&map),
                 }
             })
             .collect()
@@ -789,149 +657,86 @@ impl TableCache {
     pub fn clear(&self) {
         for shard in &self.shards {
             shard.map.lock().clear();
-            shard.compressed.lock().clear();
             shard.hits.store(0, Ordering::Relaxed);
             shard.misses.store(0, Ordering::Relaxed);
             shard.evictions.store(0, Ordering::Relaxed);
         }
     }
 
-    /// Evicts least-recently-used entries (globally, across every shard
-    /// and both maps) until the resident bytes fit the budget —
-    /// strictly: the entry that triggered the enforcement is the most
-    /// recently used and goes last, but even it is dropped when it
-    /// alone exceeds the budget (its caller already holds the `Arc`).
-    /// Victim order is a pure function of the global clock stamps —
-    /// never of shard layout — which is the shard-clock determinism
-    /// rule. Evicted compressed tables are offered to the evict hook
-    /// after the locks are released.
+    /// Evicts least-recently-used entries (globally, across every
+    /// shard) until the resident bytes fit the budget — strictly: the
+    /// entry that triggered the enforcement is the most recently used
+    /// and goes last, but even it is dropped when it alone exceeds the
+    /// budget (its caller already holds the `Arc`). Victim order is a
+    /// pure function of the global clock stamps — never of shard layout
+    /// — which is the shard-clock determinism rule. Every victim is
+    /// offered to the evict hook after the locks are released.
     fn enforce_budget(&self) {
         let budget = self.budget.load(Ordering::Relaxed);
         if budget == usize::MAX {
             return;
         }
-        let mut snapshot_victims: Vec<Arc<CompressedTable>> = Vec::new();
+        let mut victims: Vec<Arc<CompressedTable>> = Vec::new();
         {
-            // Cross-shard lock order: shard index order, dense before
-            // compressed within a shard (matches stats()). All locks are
-            // held for the whole enforcement so the global LRU choice
-            // cannot race a concurrent stamp refresh.
-            let mut guards: Vec<_> = self
-                .shards
-                .iter()
-                .map(|s| (s.map.lock(), s.compressed.lock()))
-                .collect();
+            // Cross-shard lock order: shard index order (matches
+            // stats()). All locks are held for the whole enforcement so
+            // the global LRU choice cannot race a concurrent stamp
+            // refresh.
+            let mut guards: Vec<_> = self.shards.iter().map(|s| s.map.lock()).collect();
             // Sum once, subtract per eviction: an eviction burst (e.g. a
             // shrinking budget over a large cache) stays O(N) sums + one
             // O(N) LRU scan per victim instead of O(N) sums per victim,
             // all while the locks are held.
-            let mut resident = guards
-                .iter()
-                .map(|(map, compressed)| {
-                    map.values().map(|e| e.table.bytes()).sum::<usize>()
-                        + compressed.values().map(|e| e.table.bytes()).sum::<usize>()
-                })
-                .sum::<usize>();
-            loop {
-                if resident <= budget {
+            let mut resident = guards.iter().map(|map| map_bytes(map)).sum::<usize>();
+            while resident > budget {
+                // Clock stamps are unique (fetch_add), so the global
+                // minimum across all shards is one entry.
+                let Some((si, key)) = guards
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(si, map)| map.iter().map(move |(k, e)| (e.last_used, si, *k)))
+                    .min_by_key(|&(stamp, _, _)| stamp)
+                    .map(|(_, si, key)| (si, key))
+                else {
                     break;
+                };
+                if let Some(entry) = guards[si].remove(&key) {
+                    resident = resident.saturating_sub(entry.table.memory_bytes());
+                    victims.push(entry.table);
                 }
-                // Global minima: clock stamps are unique (fetch_add), so
-                // each side has at most one minimum across all shards;
-                // the dense-wins tie rule is kept from the unsharded
-                // cache for the impossible-in-practice equal case.
-                let dense_lru = guards
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(si, (map, _))| {
-                        map.iter()
-                            .min_by_key(|(_, e)| e.last_used)
-                            .map(|(k, e)| (si, *k, e.last_used))
-                    })
-                    .min_by_key(|&(_, _, stamp)| stamp);
-                let comp_lru = guards
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(si, (_, compressed))| {
-                        compressed
-                            .iter()
-                            .min_by_key(|(_, e)| e.last_used)
-                            .map(|(k, e)| (si, *k, e.last_used))
-                    })
-                    .min_by_key(|&(_, _, stamp)| stamp);
-                let evict_dense = match (dense_lru, comp_lru) {
-                    (Some((_, _, d)), Some((_, _, c))) => d <= c,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => break,
-                };
-                let victim_shard = if evict_dense {
-                    let (si, key, _) = dense_lru.expect("picked dense LRU");
-                    if let Some(entry) = guards[si].0.remove(&key) {
-                        resident = resident.saturating_sub(entry.table.bytes());
-                    }
-                    si
-                } else {
-                    let (si, key, _) = comp_lru.expect("picked compressed LRU");
-                    if let Some(entry) = guards[si].1.remove(&key) {
-                        resident = resident.saturating_sub(entry.table.bytes());
-                        snapshot_victims.push(entry.table);
-                    }
-                    si
-                };
-                self.shards[victim_shard]
-                    .evictions
-                    .fetch_add(1, Ordering::Relaxed);
+                self.shards[si].evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        if !snapshot_victims.is_empty() {
-            let hook = self.evict_hook.lock();
-            if let Some(hook) = hook.as_ref() {
-                for table in &snapshot_victims {
-                    // A panicking hook must not unwind into whichever
-                    // cache caller happened to trigger the eviction (and
-                    // must not skip the remaining victims): eviction
-                    // side effects are best-effort by contract, so the
-                    // panic is contained here and merely logged.
-                    if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hook(table)))
-                        .is_err()
-                    {
-                        eprintln!("cyclesteal-dp: evict hook panicked (contained)");
-                    }
+        if victims.is_empty() {
+            return;
+        }
+        let hook = self.evict_hook.lock();
+        if let Some(hook) = hook.as_ref() {
+            for table in &victims {
+                // A panicking hook must not unwind into whichever cache
+                // caller happened to trigger the eviction (and must not
+                // skip the remaining victims): eviction side effects are
+                // best-effort by contract, so the panic is contained
+                // here and merely logged.
+                if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hook(table))).is_err() {
+                    eprintln!("cyclesteal-dp: evict hook panicked (contained)");
                 }
             }
         }
-    }
-
-    fn lookup(&self, key: &TableKey, max_lifespan: Time) -> Option<Arc<ValueTable>> {
-        let found = self.peek(key, max_lifespan);
-        if found.is_some() {
-            self.shard(key).hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    /// [`Self::lookup`] without touching the hit counter.
-    fn peek(&self, key: &TableKey, max_lifespan: Time) -> Option<Arc<ValueTable>> {
-        peek_map(
-            &mut self.shard(key).map.lock(),
-            key,
-            max_lifespan,
-            &self.clock,
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::PhaseTimings;
     use cyclesteal_core::time::secs;
 
     #[test]
     fn second_smaller_query_is_a_hit() {
         let cache = TableCache::new();
-        let a = cache.get(secs(1.0), 8, secs(100.0), 2);
-        let b = cache.get(secs(1.0), 8, secs(40.0), 2);
+        let a = cache.get_compressed(secs(1.0), 8, secs(100.0), 2);
+        let b = cache.get_compressed(secs(1.0), 8, secs(40.0), 2);
         assert!(
             Arc::ptr_eq(&a, &b),
             "smaller lifespan should reuse the solve"
@@ -939,31 +744,32 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
         // The shared table answers the smaller query exactly.
-        assert_eq!(
-            a.value_ticks(2, 40 * 8),
-            ValueTable::solve(secs(1.0), 8, secs(40.0), 2, SolveOptions::default())
-                .value_ticks(2, 40 * 8)
-        );
+        let direct = CompressedTable::solve(secs(1.0), 8, secs(40.0), 2);
+        for l in 0..=direct.max_ticks() {
+            assert_eq!(a.value_ticks(2, l), direct.value_ticks(2, l));
+        }
+        cache.clear();
+        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]
     fn headroom_absorbs_creeping_sweeps() {
         let cache = TableCache::new();
-        let _ = cache.get(secs(1.0), 4, secs(100.0), 1);
+        let _ = cache.get_compressed(secs(1.0), 4, secs(100.0), 1);
         // 25% headroom: up to 125 is covered without a re-solve.
-        let _ = cache.get(secs(1.0), 4, secs(120.0), 1);
+        let _ = cache.get_compressed(secs(1.0), 4, secs(120.0), 1);
         assert_eq!(cache.stats().misses, 1);
-        let _ = cache.get(secs(1.0), 4, secs(200.0), 1);
+        let _ = cache.get_compressed(secs(1.0), 4, secs(200.0), 1);
         assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]
     fn distinct_keys_do_not_collide() {
         let cache = TableCache::new();
-        let a = cache.get(secs(1.0), 8, secs(50.0), 1);
-        let b = cache.get(secs(1.0), 8, secs(50.0), 2);
-        let c = cache.get(secs(1.0), 16, secs(50.0), 1);
-        let d = cache.get(secs(2.0), 8, secs(50.0), 1);
+        let a = cache.get_compressed(secs(1.0), 8, secs(50.0), 1);
+        let b = cache.get_compressed(secs(1.0), 8, secs(50.0), 2);
+        let c = cache.get_compressed(secs(1.0), 16, secs(50.0), 1);
+        let d = cache.get_compressed(secs(2.0), 8, secs(50.0), 1);
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(cache.stats().entries, 4);
         assert_eq!(b.max_interrupts(), 2);
@@ -1014,8 +820,8 @@ mod tests {
         assert_eq!(cache.stats().misses, 1);
         assert!(Arc::ptr_eq(&tables[0], &tables[1]));
         assert_eq!(tables[1].max_interrupts(), 3);
-        // Values agree with fresh direct solves at both budgets.
-        let direct = ValueTable::solve(secs(1.0), 8, secs(60.0), 3, SolveOptions::default());
+        // Values agree with a fresh direct solve at both budgets.
+        let direct = CompressedTable::solve(secs(1.0), 8, secs(60.0), 3);
         for l in 0..=direct.max_ticks() {
             assert_eq!(tables[0].value_ticks(1, l), direct.value_ticks(1, l));
             assert_eq!(tables[1].value_ticks(3, l), direct.value_ticks(3, l));
@@ -1025,8 +831,8 @@ mod tests {
     #[test]
     fn smaller_budget_served_from_larger_p_table() {
         let cache = TableCache::new();
-        let big = cache.get(secs(1.0), 8, secs(60.0), 3);
-        let small = cache.get(secs(1.0), 8, secs(60.0), 1);
+        let big = cache.get_compressed(secs(1.0), 8, secs(60.0), 3);
+        let small = cache.get_compressed(secs(1.0), 8, secs(60.0), 1);
         assert!(
             Arc::ptr_eq(&big, &small),
             "p=1 request should reuse the p=3 table"
@@ -1034,7 +840,7 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
         // Level 1 of the shared table is the exact p=1 answer.
-        let direct = ValueTable::solve(secs(1.0), 8, secs(60.0), 1, SolveOptions::default());
+        let direct = CompressedTable::solve(secs(1.0), 8, secs(60.0), 1);
         for l in 0..=direct.max_ticks() {
             assert_eq!(small.value_ticks(1, l), direct.value_ticks(1, l));
         }
@@ -1045,10 +851,10 @@ mod tests {
         // A lifespan a fraction of a tick past the solved range must
         // re-solve, not hand back a table whose value() would panic.
         let cache = TableCache::new();
-        let first = cache.get(secs(1.0), 8, secs(100.0), 1);
+        let first = cache.get_compressed(secs(1.0), 8, secs(100.0), 1);
         let covered = first.max_lifespan();
         let just_past = covered + secs(0.01);
-        let second = cache.get(secs(1.0), 8, just_past, 1);
+        let second = cache.get_compressed(secs(1.0), 8, just_past, 1);
         // Either way the contract holds: the returned table answers the
         // requested lifespan without panicking.
         let _ = second.value(1, just_past);
@@ -1126,48 +932,11 @@ mod tests {
     }
 
     #[test]
-    fn compressed_side_shares_solves_and_counts_entries() {
-        let cache = TableCache::new();
-        let a = cache.get_compressed(secs(1.0), 8, secs(100.0), 2);
-        let b = cache.get_compressed(secs(1.0), 8, secs(40.0), 2);
-        assert!(
-            Arc::ptr_eq(&a, &b),
-            "smaller lifespan should reuse the solve"
-        );
-        // Smaller budget served from the larger-p skeleton, like dense.
-        let c = cache.get_compressed(secs(1.0), 8, secs(40.0), 1);
-        assert!(Arc::ptr_eq(&a, &c));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (2, 1));
-        assert_eq!((s.entries, s.compressed_entries), (0, 1));
-        // Cached skeletons answer queries exactly like the dense sweep.
-        let direct = ValueTable::solve(secs(1.0), 8, secs(40.0), 2, SolveOptions::default());
-        for l in 0..=direct.max_ticks() {
-            assert_eq!(a.value_ticks(2, l), direct.value_ticks(2, l));
-        }
-        cache.clear();
-        assert_eq!(cache.stats().compressed_entries, 0);
-    }
-
-    #[test]
-    fn dense_and_compressed_entries_are_independent() {
-        let cache = TableCache::new();
-        let dense = cache.get(secs(1.0), 8, secs(50.0), 1);
-        let small = cache.get_compressed(secs(1.0), 8, secs(50.0), 1);
-        let s = cache.stats();
-        assert_eq!((s.entries, s.compressed_entries), (1, 1));
-        assert_eq!(s.misses, 2, "representations solve independently");
-        for l in 0..=dense.max_ticks().min(small.max_ticks()) {
-            assert_eq!(dense.value_ticks(1, l), small.value_ticks(1, l));
-        }
-    }
-
-    #[test]
     fn resident_bytes_track_cached_tables() {
         let cache = TableCache::new();
         assert_eq!(cache.stats().resident_bytes, 0);
-        let a = cache.get(secs(1.0), 8, secs(60.0), 1);
-        let b = cache.get_compressed(secs(1.0), 8, secs(60.0), 1);
+        let a = cache.get_compressed(secs(1.0), 8, secs(60.0), 1);
+        let b = cache.get_compressed(secs(2.0), 8, secs(60.0), 1);
         assert_eq!(
             cache.stats().resident_bytes,
             a.memory_bytes() + b.memory_bytes()
@@ -1179,11 +948,11 @@ mod tests {
     #[test]
     fn budget_evicts_least_recently_used_first() {
         let cache = TableCache::new();
-        // Three dense grids; the middle one is then refreshed by a hit,
-        // so the *first* grid is the LRU victim when the budget bites.
-        let a = cache.get(secs(1.0), 8, secs(60.0), 1);
-        let b = cache.get(secs(2.0), 8, secs(60.0), 1);
-        let _hit = cache.get(secs(1.0), 8, secs(30.0), 1);
+        // Two grids; the first one is then refreshed by a hit, so the
+        // *second* grid is the LRU victim when the budget bites.
+        let a = cache.get_compressed(secs(1.0), 8, secs(60.0), 1);
+        let b = cache.get_compressed(secs(2.0), 8, secs(60.0), 1);
+        let _hit = cache.get_compressed(secs(1.0), 8, secs(30.0), 1);
         assert_eq!(cache.stats().entries, 2);
         let keep = a.memory_bytes() + b.memory_bytes() - 1;
         cache.set_memory_budget(Some(keep));
@@ -1193,22 +962,22 @@ mod tests {
         assert!(s.resident_bytes <= keep);
         // The refreshed grid survived; the stale one re-solves.
         let before = cache.stats().misses;
-        let _ = cache.get(secs(1.0), 8, secs(30.0), 1);
+        let _ = cache.get_compressed(secs(1.0), 8, secs(30.0), 1);
         assert_eq!(cache.stats().misses, before, "refreshed entry still hit");
-        let _ = cache.get(secs(2.0), 8, secs(30.0), 1);
+        let _ = cache.get_compressed(secs(2.0), 8, secs(30.0), 1);
         assert_eq!(cache.stats().misses, before + 1, "evicted entry re-solves");
     }
 
     #[test]
     fn oversized_insert_is_served_but_not_retained() {
         let cache = TableCache::new();
-        let small = cache.get(secs(1.0), 4, secs(30.0), 1);
+        let small = cache.get_compressed(secs(1.0), 4, secs(30.0), 1);
         cache.set_memory_budget(Some(small.memory_bytes()));
         assert_eq!(cache.stats().entries, 1, "small table fits its budget");
         // A larger solve cannot fit the budget at all: the caller is
         // still served (this Arc), but the budget is enforced strictly —
         // both the old entry and the oversized new one are evicted.
-        let big = cache.get(secs(1.0), 4, secs(300.0), 2);
+        let big = cache.get_compressed(secs(1.0), 4, secs(300.0), 2);
         assert!(big.memory_bytes() > small.memory_bytes());
         assert!(big.max_lifespan() >= secs(300.0), "caller fully served");
         let s = cache.stats();
@@ -1218,7 +987,7 @@ mod tests {
     }
 
     #[test]
-    fn evict_hook_sees_evicted_compressed_tables() {
+    fn evict_hook_sees_every_victim() {
         use std::sync::Mutex as StdMutex;
         let cache = TableCache::new();
         let seen: Arc<StdMutex<Vec<Arc<CompressedTable>>>> = Arc::new(StdMutex::new(Vec::new()));
@@ -1230,14 +999,13 @@ mod tests {
         let _b = cache.get_compressed(secs(2.0), 8, secs(400.0), 2);
         cache.set_memory_budget(Some(1));
         let evicted = seen.lock().unwrap();
-        assert_eq!(evicted.len(), 2, "both compressed entries evicted");
-        assert!(evicted.iter().any(|t| Arc::ptr_eq(t, &a)));
-        assert_eq!(cache.stats().compressed_entries, 0);
+        assert_eq!(evicted.len(), 2, "both entries evicted");
+        assert!(Arc::ptr_eq(&evicted[0], &a), "LRU first");
+        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]
     fn a_panicking_evict_hook_is_contained() {
-        use std::sync::atomic::{AtomicU64, Ordering};
         let cache = TableCache::new();
         let calls = Arc::new(AtomicU64::new(0));
         let counter = calls.clone();
@@ -1251,7 +1019,7 @@ mod tests {
         // victim, and the cache stays fully usable afterwards.
         cache.set_memory_budget(Some(1));
         assert_eq!(calls.load(Ordering::Relaxed), 2, "hook ran per victim");
-        assert_eq!(cache.stats().compressed_entries, 0);
+        assert_eq!(cache.stats().entries, 0);
         cache.set_memory_budget(None);
         let again = cache.get_compressed(secs(1.0), 8, secs(400.0), 2);
         assert!(again.covers(secs(400.0)));
@@ -1266,7 +1034,7 @@ mod tests {
         let admitted = fresh.admit_compressed(table.clone());
         assert!(Arc::ptr_eq(&admitted, &table));
         let s = fresh.stats();
-        assert_eq!((s.hits, s.misses, s.compressed_entries), (0, 0, 1));
+        assert_eq!((s.hits, s.misses, s.entries), (0, 0, 1));
         // The admitted table serves the covered range without a solve.
         let served = fresh.get_compressed(secs(1.0), 8, secs(80.0), 2);
         assert!(Arc::ptr_eq(&served, &table));
@@ -1285,13 +1053,7 @@ mod tests {
         // produce identical CacheStats and an identical eviction victim
         // sequence — the shard-clock determinism rule.
         let run = |shards: usize| {
-            let cache = TableCache::with_options_sharded(
-                SolveOptions {
-                    threads: 1,
-                    ..SolveOptions::default()
-                },
-                shards,
-            );
+            let cache = TableCache::with_shards(shards);
             assert_eq!(cache.shard_count(), shards);
             let victims: Arc<StdMutex<Vec<(u64, u32, u32)>>> = Arc::new(StdMutex::new(Vec::new()));
             let sink = victims.clone();
@@ -1332,9 +1094,9 @@ mod tests {
         // All budgets of one grid must land in one shard, so the
         // p=1-served-from-p=3 fallback works however many shards exist.
         for shards in [1usize, 3, 16] {
-            let cache = TableCache::with_options_sharded(SolveOptions::default(), shards);
-            let big = cache.get(secs(1.0), 8, secs(60.0), 3);
-            let small = cache.get(secs(1.0), 8, secs(60.0), 1);
+            let cache = TableCache::with_shards(shards);
+            let big = cache.get_compressed(secs(1.0), 8, secs(60.0), 3);
+            let small = cache.get_compressed(secs(1.0), 8, secs(60.0), 1);
             assert!(Arc::ptr_eq(&big, &small), "{shards} shards");
             assert_eq!(cache.stats().hits, 1);
         }
@@ -1347,28 +1109,11 @@ mod tests {
         // A ticking logical clock: timings are nonzero and deterministic,
         // and the solved tables must not differ by a single bit.
         let clock = LogicalClock::with_step(7);
-
-        let rec = PhaseRecorder::new(&clock);
-        let plain = ValueTable::solve(secs(1.0), 8, secs(120.0), 3, SolveOptions::default());
-        let profiled =
-            ValueTable::solve_profiled(secs(1.0), 8, secs(120.0), 3, SolveOptions::default(), &rec);
-        for p in 0..=3u32 {
-            for l in 0..=plain.max_ticks() {
-                assert_eq!(plain.value_ticks(p, l), profiled.value_ticks(p, l));
-            }
-        }
-        let t = rec.timings();
-        assert_eq!(t.calls(Phase::DenseExpansion), 3, "one fill per level");
-        assert!(t.ns(Phase::DenseExpansion) > 0, "stepped clock ticks");
-
         let rec = PhaseRecorder::new(&clock);
         let opts = SolveOptions::default();
-        let plain_c = CompressedTable::solve_with(secs(1.0), 8, secs(300.0), 2, opts);
-        let profiled_c = CompressedTable::solve_profiled(secs(1.0), 8, secs(300.0), 2, opts, &rec);
-        assert_eq!(
-            plain_c, profiled_c,
-            "profiling must not change a single bit"
-        );
+        let plain = CompressedTable::solve_with(secs(1.0), 8, secs(300.0), 2, opts);
+        let profiled = CompressedTable::solve_profiled(secs(1.0), 8, secs(300.0), 2, opts, &rec);
+        assert_eq!(plain, profiled, "profiling must not change a single bit");
         // Each level's event build and run compression are attributed
         // separately; nothing else fires.
         let t = rec.timings();
@@ -1395,12 +1140,12 @@ mod tests {
             Some(Box::new(move |t| sink.lock().unwrap().push(*t))),
         );
         let _ = cache.get_compressed(secs(1.0), 8, secs(200.0), 2);
-        let _ = cache.get(secs(1.0), 8, secs(50.0), 1);
+        let _ = cache.get_compressed(secs(1.0), 4, secs(50.0), 1);
         let timings = seen.lock().unwrap().clone();
         assert_eq!(timings.len(), 2, "one timing per cache-triggered solve");
         assert_eq!(timings[0].calls(Phase::EventLoop), 2);
         assert!(timings[0].total_ns() > 0);
-        assert!(timings[1].calls(Phase::DenseExpansion) >= 1);
+        assert_eq!(timings[1].calls(Phase::EventLoop), 1);
         // Warm hits trigger no solve and no timing; removing the pair
         // stops profiling.
         let _ = cache.get_compressed(secs(1.0), 8, secs(200.0), 2);
@@ -1415,7 +1160,7 @@ mod tests {
         let cache = TableCache::new();
         for grid in 1..=6u64 {
             let _ = cache.get_compressed(secs(grid as f64), 8, secs(150.0), 1 + (grid % 3) as u32);
-            let _ = cache.get(secs(grid as f64), 4, secs(40.0), 1);
+            let _ = cache.get_compressed(secs(grid as f64), 4, secs(40.0), 1);
         }
         // Re-query half the grids for hits, then shrink the budget so
         // evictions land on some shards too.
@@ -1440,13 +1185,6 @@ mod tests {
         assert_eq!(
             total.entries,
             per_shard.iter().map(|s| s.entries).sum::<usize>()
-        );
-        assert_eq!(
-            total.compressed_entries,
-            per_shard
-                .iter()
-                .map(|s| s.compressed_entries)
-                .sum::<usize>()
         );
         assert_eq!(
             total.resident_bytes,

@@ -35,11 +35,10 @@
 //!
 //! Around them:
 //!
-//! * [`cache::TableCache`] — one solve per `(setup, resolution, p_max)`
-//!   serves a whole `(U/c, p)` sweep; independent configurations solve
-//!   in parallel through `cyclesteal-par`, and
-//!   [`cache::TableCache::get_compressed`] caches event-driven
-//!   skeletons for huge-horizon sweeps.
+//! * [`cache::TableCache`] — one compressed solve per `(setup,
+//!   resolution, p_max)` serves a whole `(U/c, p)` sweep, from small
+//!   grids to `10^9`-tick horizons; independent configurations solve
+//!   in parallel through `cyclesteal-par`.
 //! * [`snapshot`] — the persistence boundary: lossless decomposition of
 //!   a [`compressed::CompressedTable`] into primitive, representation-
 //!   native parts and exact (validated) reconstruction — what the

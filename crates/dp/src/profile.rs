@@ -18,11 +18,11 @@
 //! - [`Phase::RunCompression`] — feeding a built level's flat runs into
 //!   its second-order arithmetic-run representation
 //!   (`BuildRow::into_row`), once per level of a compressed solve.
-//! - [`Phase::DenseExpansion`] — filling one level of the dense
-//!   value/argmax arena with the frontier sweep.
-//! - [`Phase::SkeletonBuild`] — never fires: the tick-walking skeleton
-//!   build it timed is gone. The variant and its metric label remain so
-//!   existing dashboards and callers keep compiling.
+//! - [`Phase::DenseExpansion`] and [`Phase::SkeletonBuild`] — never
+//!   fire: the dense frontier sweep is the unprofiled test reference
+//!   (the cache builds only compressed tables), and the tick-walking
+//!   skeleton build is gone. The variants and their metric labels
+//!   remain so existing dashboards and callers keep compiling.
 
 use cyclesteal_obs::Clock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,7 +40,7 @@ pub enum Phase {
     EventLoop,
     /// Second-order run compression of a built level.
     RunCompression,
-    /// Dense value/argmax arena fill.
+    /// Dense value/argmax arena fill; never recorded any more.
     DenseExpansion,
 }
 

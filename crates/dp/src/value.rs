@@ -247,48 +247,6 @@ impl ValueTable {
         max_interrupts: u32,
         opts: SolveOptions,
     ) -> ValueTable {
-        Self::solve_inner(
-            setup,
-            ticks_per_setup,
-            max_lifespan,
-            max_interrupts,
-            opts,
-            None,
-        )
-    }
-
-    /// [`Self::solve`] with per-phase timing recorded into `recorder`
-    /// (see [`crate::profile`]): each level's arena fill is attributed
-    /// to [`crate::Phase::DenseExpansion`].
-    /// The clock is read only between phases, so the solved table is
-    /// bit-identical to the unprofiled solve.
-    pub fn solve_profiled(
-        setup: Time,
-        ticks_per_setup: u32,
-        max_lifespan: Time,
-        max_interrupts: u32,
-        opts: SolveOptions,
-        recorder: &crate::profile::PhaseRecorder<'_>,
-    ) -> ValueTable {
-        Self::solve_inner(
-            setup,
-            ticks_per_setup,
-            max_lifespan,
-            max_interrupts,
-            opts,
-            Some(recorder),
-        )
-    }
-
-    fn solve_inner(
-        setup: Time,
-        ticks_per_setup: u32,
-        max_lifespan: Time,
-        max_interrupts: u32,
-        opts: SolveOptions,
-        prof: Option<&crate::profile::PhaseRecorder<'_>>,
-    ) -> ValueTable {
-        use crate::profile::{time_opt, Phase};
         let grid = Grid::new(setup, ticks_per_setup);
         let n = grid.to_ticks(max_lifespan).max(0);
         let q = grid.q();
@@ -315,10 +273,10 @@ impl ValueTable {
             let arg = argmax
                 .as_mut()
                 .map(|am| &mut am[p * stride..(p + 1) * stride]);
-            time_opt(prof, Phase::DenseExpansion, || match arg {
+            match arg {
                 Some(arg) => sweep_fill::<true>(prev, cur, arg, n, q),
                 None => sweep_fill::<false>(prev, cur, &mut [], n, q),
-            });
+            }
         }
 
         ValueTable {
@@ -344,14 +302,6 @@ impl ValueTable {
     /// Largest lifespan the table covers.
     pub fn max_lifespan(&self) -> Time {
         self.grid.to_time(self.max_ticks)
-    }
-
-    /// Whether the table can answer every query up to `max_lifespan`,
-    /// with the same tolerance [`Self::value`] accepts — the coverage
-    /// check the [`crate::TableCache`] and the serving layer share, so
-    /// a "covered" table can never panic on the promised range.
-    pub fn covers(&self, max_lifespan: Time) -> bool {
-        max_lifespan.get() / self.grid.tick().get() <= self.max_ticks as f64 + 1e-9
     }
 
     /// Largest interrupt budget the table covers.

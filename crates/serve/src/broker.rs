@@ -984,10 +984,6 @@ impl Broker {
                 ("cyclesteal_cache_shard_evictions", s.evictions),
                 ("cyclesteal_cache_shard_entries", s.entries as u64),
                 (
-                    "cyclesteal_cache_shard_compressed_entries",
-                    s.compressed_entries as u64,
-                ),
-                (
                     "cyclesteal_cache_shard_resident_bytes",
                     s.resident_bytes as u64,
                 ),

@@ -33,11 +33,11 @@
 //!   ([`cyclesteal_store::evict_hook_to_dir`]), so a restart skips the
 //!   solves entirely.
 //!
-//! Answers are **bit-identical** to direct `TableCache` queries — the
+//! Answers are **bit-identical** to the dense frontier sweep — the
 //! broker serves the same `CompressedTable` values every other path in
 //! the repository serves (the equivalence suite pins compressed ==
-//! dense), and `tests/serve_props.rs` pins broker == direct under
-//! concurrent multi-client load.
+//! dense), and `tests/serve_props.rs` pins broker == dense
+//! `ValueTable::solve` under concurrent multi-client load.
 //!
 //! ## Failure semantics
 //!

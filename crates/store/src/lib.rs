@@ -893,7 +893,7 @@ mod tests {
         cache.set_evict_hook(Some(evict_hook_to_dir(dir.clone())));
         let a = cache.get_compressed(secs(1.0), 8, secs(300.0), 2);
         cache.set_memory_budget(Some(1)); // evict everything
-        assert_eq!(cache.stats().compressed_entries, 0);
+        assert_eq!(cache.stats().entries, 0);
 
         let warmed = TableCache::new();
         assert_eq!(warmed.warm_from_dir(&dir).unwrap().loaded, 1);

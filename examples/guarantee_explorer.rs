@@ -31,7 +31,7 @@ fn main() {
         max_lifespan: max_u,
         max_interrupts: p_max,
     }])[0];
-    println!("[sweep queries below served by the dense table]");
+    println!("[sweep queries below served by the run-compressed table]");
     let adaptive = evaluate_policy(
         &AdaptiveGuideline::default(),
         c,
@@ -137,10 +137,9 @@ fn main() {
 
     let stats = cache.stats();
     println!(
-        "\n[table cache: {} solve(s), {} dense + {} compressed cached table(s) served {} sweep cells]",
+        "\n[table cache: {} solve(s), {} cached table(s) served {} sweep cells]",
         stats.misses,
         stats.entries,
-        stats.compressed_entries,
         cells.len()
     );
     println!("\nReading the table: the corrected self-similar guideline tracks the exact");

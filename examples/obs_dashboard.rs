@@ -196,7 +196,7 @@ fn render_dashboard(text: &str, spans: &[SpanRecord], elapsed_s: f64) {
     let shard_series = [
         ("hits", "cyclesteal_cache_shard_hits"),
         ("misses", "cyclesteal_cache_shard_misses"),
-        ("tables", "cyclesteal_cache_shard_compressed_entries"),
+        ("tables", "cyclesteal_cache_shard_entries"),
         ("KiB", "cyclesteal_cache_shard_resident_bytes"),
     ];
     let shards: Vec<String> = by_label(&samples, "cyclesteal_cache_shard_hits", "shard")

@@ -11,15 +11,17 @@
 //!
 //! `smoke` is the CI `serve-smoke` step: it starts a real TCP server,
 //! fires a batched query set from 8 concurrent client threads, diffs
-//! every answer **bit for bit** against direct
-//! [`TableCache::solve_many`] results, snapshots the cache, restarts a
+//! every answer **bit for bit** against the dense frontier sweep
+//! ([`ValueTable::solve`], a build that shares no code with the
+//! broker's compressed path), snapshots the cache, restarts a
 //! broker warm from the snapshot directory and proves it serves the
 //! whole workload without a single solve. Any mismatch panics (nonzero
 //! exit).
 
 use cyclesteal::prelude::*;
-use cyclesteal_dp::{SolveConfig, TableCache};
+use cyclesteal_dp::{SolveOptions, ValueTable};
 use cyclesteal_serve::{Broker, BrokerConfig, Client, GuaranteeAnswer, GuaranteeQuery, Server};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The demo/smoke workload: two grids × three budgets × six lifespans.
@@ -40,23 +42,30 @@ fn workload() -> Vec<GuaranteeQuery> {
     queries
 }
 
-/// Reference answers from the direct cache path the broker must match.
+/// Reference answers from the dense frontier sweep (`ValueTable::solve`),
+/// one solve per distinct grid — a build that shares no code with the
+/// broker's compressed path, which must match it bit for bit.
 fn reference_answers(queries: &[GuaranteeQuery]) -> Vec<GuaranteeAnswer> {
-    let cache = TableCache::new();
-    let configs: Vec<SolveConfig> = queries
-        .iter()
-        .map(|q| SolveConfig {
-            setup: q.setup,
-            ticks_per_setup: q.ticks_per_setup,
-            max_lifespan: Time::max(q.lifespan, secs(1.0)),
-            max_interrupts: q.interrupts,
+    let mut grids: BTreeMap<(u64, u32), (u32, Time)> = BTreeMap::new();
+    for q in queries {
+        let grid = grids
+            .entry((q.setup.get().to_bits(), q.ticks_per_setup))
+            .or_insert((0, secs(1.0)));
+        grid.0 = grid.0.max(q.interrupts);
+        grid.1 = Time::max(grid.1, q.lifespan);
+    }
+    let tables: BTreeMap<(u64, u32), ValueTable> = grids
+        .into_iter()
+        .map(|((setup_bits, ticks), (p, lifespan))| {
+            let setup = Time::new(f64::from_bits(setup_bits));
+            let table = ValueTable::solve(setup, ticks, lifespan, p, SolveOptions::default());
+            ((setup_bits, ticks), table)
         })
         .collect();
-    let tables = cache.solve_many(&configs);
     queries
         .iter()
-        .zip(&tables)
-        .map(|(q, table)| {
+        .map(|q| {
+            let table = &tables[&(q.setup.get().to_bits(), q.ticks_per_setup)];
             let ticks = table
                 .grid()
                 .to_ticks(q.lifespan)
@@ -86,11 +95,11 @@ fn diff(got: &[GuaranteeAnswer], want: &[GuaranteeAnswer], ctx: &str) {
 fn print_stats(broker: &Broker) {
     let stats = broker.stats();
     println!(
-        "[cache: {} hits / {} misses / {} evictions, {} compressed table(s), {} KiB resident]",
+        "[cache: {} hits / {} misses / {} evictions, {} cached table(s), {} KiB resident]",
         stats.cache.hits,
         stats.cache.misses,
         stats.cache.evictions,
-        stats.cache.compressed_entries,
+        stats.cache.entries,
         stats.cache.resident_bytes >> 10
     );
     for ep in &stats.endpoints {
@@ -174,10 +183,22 @@ fn run_client(addr: &str) {
             q.interrupts, q.lifespan, q.ticks_per_setup, a.value, a.value_ticks
         );
     }
-    let stats = client.stats().unwrap();
+    // The server's cache counters ride the op-4 metrics pull as
+    // per-shard gauges; their sums are the cache totals.
+    let (text, _spans) = client.fetch_metrics().unwrap();
+    let samples = cyclesteal_obs::parse_exposition(&text);
+    let total = |name: &str| -> u64 {
+        samples
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| s.value)
+            .sum()
+    };
     println!(
-        "[server cache: {} hits / {} misses, {} compressed table(s)]",
-        stats.cache.hits, stats.cache.misses, stats.cache.compressed_entries
+        "[server cache: {} hits / {} misses, {} cached table(s)]",
+        total("cyclesteal_cache_shard_hits"),
+        total("cyclesteal_cache_shard_misses"),
+        total("cyclesteal_cache_shard_entries")
     );
 }
 
@@ -188,7 +209,7 @@ fn run_smoke() {
     let want = reference_answers(&queries);
 
     // Phase 1: cold TCP server, 8 concurrent clients, bit-exact diff.
-    println!("[smoke 1/3] cold server vs direct TableCache::solve_many…");
+    println!("[smoke 1/3] cold server vs the dense ValueTable::solve reference…");
     {
         let broker = Arc::new(
             Broker::new(BrokerConfig {
@@ -231,7 +252,7 @@ fn run_smoke() {
             .unwrap(),
         );
         assert_eq!(
-            broker.cache().stats().compressed_entries,
+            broker.cache().stats().entries,
             2,
             "warm start must load both snapshots"
         );

@@ -17,7 +17,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`core`] | `cyclesteal-core` | model, schedules (§3.1, §3.2, §5.2, Thm 4.3), bounds, Table 1 |
-//! | [`dp`] | `cyclesteal-dp` | exact `W^(p)[L]` solvers (dense frontier-sweep, breakpoint-compressed, event-driven run-skipping), table cache, dense + compressed-oracle policy evaluators |
+//! | [`dp`] | `cyclesteal-dp` | exact `W^(p)[L]` solvers (event-driven run-compressed production table, dense frontier-sweep reference), a cache of run-compressed tables, dense + compressed-oracle policy evaluators |
 //! | [`adversary`] | `cyclesteal-adversary` | optimal/stochastic adversaries, game runner |
 //! | [`sim`] | `now-sim` | discrete-event NOW simulator |
 //! | [`workloads`] | `cyclesteal-workloads` | task bags + owner traces |
